@@ -49,11 +49,12 @@ fi
 # PTXL legs (warp-split stack, convergence barriers, scoreboard) and
 # the stress-differential job (three-way cross-ISA agreement and the
 # N×N golden signatures), whose lane-mask/stack manipulation is where
-# out-of-bounds bugs would live.
+# out-of-bounds bugs would live — and the metric-table and
+# committed-cache checks, which walk member pointers over every row.
 if cmake -B build-asan -S . -DLAST_ASAN=ON &&
     cmake --build build-asan -j --target last_tests; then
     ./build-asan/tests/last_tests \
-        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*' ||
+        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:MetricTable.*:CommittedBenchCache.*' ||
         fail "ASan/UBSan suite"
 else
     fail "ASan build"

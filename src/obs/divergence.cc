@@ -8,6 +8,7 @@
 #include "common/json_in.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
+#include "sim/metrics.hh"
 
 namespace last::obs
 {
@@ -15,43 +16,8 @@ namespace last::obs
 namespace
 {
 
-/** The compared statistics, in figure order. `expect` is the paper's
- *  published classification of the IL-level statistic against the
- *  machine-ISA ground truth ("" = no position taken). */
-struct Metric
-{
-    const char *stat;
-    const char *figure;
-    const char *expect;
-    double (*get)(const sim::AppResult &);
-};
-
-#define METRIC(field) [](const sim::AppResult &r) { return double(r.field); }
-
-const Metric kMetrics[] = {
-    {"dynInsts", "Figure 5", "divergent", METRIC(dynInsts)},
-    {"valu", "Figure 5", "divergent", METRIC(valu)},
-    {"salu", "Figure 5", "divergent", METRIC(salu)},
-    {"vmem", "Figure 5", "similar", METRIC(vmem)},
-    {"branch", "Figure 5", "divergent", METRIC(branch)},
-    {"vrfBankConflicts", "Figure 6", "divergent", METRIC(vrfBankConflicts)},
-    {"reuseMedian", "Figure 7", "divergent", METRIC(reuseMedian)},
-    {"instFootprint", "Figure 8", "divergent", METRIC(instFootprint)},
-    {"ibFlushes", "Figure 9", "divergent", METRIC(ibFlushes)},
-    {"readUniq", "Figure 10", "similar", METRIC(readUniq)},
-    {"writeUniq", "Figure 10", "similar", METRIC(writeUniq)},
-    {"ipc", "Figure 11", "divergent", METRIC(ipc)},
-    {"cycles", "Figure 11", "divergent", METRIC(cycles)},
-    {"dataFootprint", "Table 6", "divergent", METRIC(dataFootprint)},
-    {"simdUtil", "Table 6", "similar", METRIC(simdUtil)},
-    {"coalescedLines", "", "similar", METRIC(coalescedLines)},
-    {"l1iMisses", "Figure 8", "divergent", METRIC(l1iMisses)},
-};
-
-#undef METRIC
-
 /**
- * Per-workload expectation overrides. kMetrics encodes the paper's
+ * Per-workload expectation overrides. sim::kMetrics encodes the paper's
  * Table 5 geomean classification; the stress workloads beyond Table 5
  * deliberately push single effects to extremes and land on different
  * sides of the threshold for several stats (e.g. a straight-line
@@ -130,8 +96,8 @@ expectedDivergence(const std::string &workload, const std::string &stat)
     for (const ExpectOverride &o : kExpectOverrides)
         if (workload == o.workload && stat == o.stat)
             return o.expect;
-    for (const Metric &m : kMetrics)
-        if (stat == m.stat)
+    for (const sim::Metric &m : sim::kMetrics)
+        if (stat == m.name)
             return m.expect;
     return "";
 }
@@ -213,13 +179,13 @@ divergenceReport(const std::vector<const sim::AppResult *> &results,
             return r;
         }
     }
-    for (const Metric &m : kMetrics) {
+    for (const sim::Metric *m : sim::reportedMetrics()) {
         DivergenceEntry e;
-        e.stat = m.stat;
-        e.figure = m.figure;
-        e.paperExpectation = expectedDivergence(r.workload, m.stat);
+        e.stat = m->name;
+        e.figure = m->figure;
+        e.paperExpectation = expectedDivergence(r.workload, m->name);
         for (const sim::AppResult *res : results)
-            e.values.push_back(m.get(*res));
+            e.values.push_back(m->value(*res));
         for (size_t i = 0; i < isas.size(); ++i) {
             for (size_t j = i + 1; j < isas.size(); ++j) {
                 DivergencePair p;
@@ -230,7 +196,7 @@ divergenceReport(const std::vector<const sim::AppResult *> &results,
                 p.relDelta = relDelta(p.va, p.vb);
                 p.divergent = p.relDelta > threshold;
                 p.paperExpectation =
-                    expectedDivergence(r.workload, m.stat, p.a, p.b);
+                    expectedDivergence(r.workload, m->name, p.a, p.b);
                 e.maxRelDelta = std::max(e.maxRelDelta, p.relDelta);
                 if (p.a == IsaKind::HSAIL && p.b == IsaKind::GCN3) {
                     e.hsail = p.va;

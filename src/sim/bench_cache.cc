@@ -10,6 +10,7 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
+#include "sim/metrics.hh"
 
 namespace last::sim
 {
@@ -28,15 +29,6 @@ workloadRank(const std::string &name)
         if (names[i] == name)
             return i;
     return names.size();
-}
-
-/** Round-trip-exact double formatting (integers stay integral, the
- *  rest print with max_digits10) — the same rule the JSON writers
- *  use, so cached statistics reconstruct bit-exactly. */
-std::string
-num(double v)
-{
-    return obs::jsonNumber(v);
 }
 
 std::string
@@ -64,19 +56,17 @@ writeRow(std::ostream &os, const CachedRun &row)
         return;
     }
     os << r.workload << ',' << isaName(r.isa) << ',' << r.verified
-       << ',' << r.digest << ',' << r.dynInsts << ',' << r.valu << ','
-       << r.salu << ',' << r.vmem << ',' << r.smem << ',' << r.lds
-       << ',' << r.branch << ',' << r.waitcnt << ',' << r.misc << ','
-       << r.cycles << ',' << num(r.ipc) << ',' << r.vrfBankConflicts
-       << ',' << num(r.reuseMedian) << ',' << r.instFootprint << ','
-       << r.ibFlushes << ',' << num(r.readUniq) << ','
-       << num(r.writeUniq) << ',' << num(r.vrfUniq) << ','
-       << r.dataFootprint << ',' << num(r.simdUtil) << ','
-       << r.l1iMisses << ',' << r.l1iHits << ',' << r.hazardViolations
-       << ',' << r.scoreboardStalls << ',' << r.waitcntStalls << ','
-       << r.ibEmptyStalls << ',' << r.fuConflictStalls << ','
-       << r.coalescedLines << ',' << r.busyCycles << ','
-       << row.key.seed << ',' << row.key.knobDigest << '\n';
+       << ',' << r.digest;
+    // Doubles use the JSON writers' round-trip-exact form, so a cached
+    // row reconstructs the in-memory result bit for bit.
+    for (const Metric &m : kMetrics) {
+        os << ',';
+        if (m.u64)
+            os << r.*m.u64;
+        else
+            os << obs::jsonNumber(r.*m.f64);
+    }
+    os << ',' << row.key.seed << ',' << row.key.knobDigest << '\n';
     for (const auto &l : r.launches)
         os << "launch," << l.kernel << ',' << l.cycles << ','
            << l.instsIssued << '\n';
@@ -196,6 +186,16 @@ struct FieldCursor
         }
     }
 
+    /** The row must end after the last field read: a trailing comma
+     *  or an extra field is a bad field count. */
+    void
+    end()
+    {
+        if (!ls.eof())
+            failCache(source, "extra field after the last column",
+                      offset);
+    }
+
     std::string
     rest()
     {
@@ -290,8 +290,10 @@ readBenchCacheStrict(std::istream &is, BenchCacheFile &out,
 
     int ver = 0;
     double scale = 0;
-    if (std::sscanf(line.c_str(), "last-bench-cache v%d scale=%lf",
-                    &ver, &scale) != 2)
+    int used = -1;
+    if (std::sscanf(line.c_str(), "last-bench-cache v%d scale=%lf%n",
+                    &ver, &scale, &used) != 2 ||
+        size_t(used) != line.size())
         failCache(source, "malformed header '" + line + "'", 0);
     if (ver != BenchCacheVersion) {
         // A version mismatch discards real simulation results, so it
@@ -318,6 +320,7 @@ readBenchCacheStrict(std::istream &is, BenchCacheFile &out,
             FieldCursor fc(line, source, off);
             fc.next("eof");
             uint64_t count = fc.u64("row count");
+            fc.end();
             if (count != out.rows.size())
                 failCache(source,
                           "eof trailer claims " + std::to_string(count) +
@@ -350,41 +353,22 @@ readBenchCacheStrict(std::istream &is, BenchCacheFile &out,
         } else {
             r.workload = first;
             r.isa = parseIsaTag(fc.next("isa"), source, off);
-            r.verified = int(fc.u64("verified"));
+            const uint64_t verified = fc.u64("verified");
+            if (verified > 1)
+                failCache(source, "field 'verified' is not 0 or 1", off);
+            r.verified = verified;
             r.digest = fc.u64("digest");
-            r.dynInsts = fc.u64("dynInsts");
-            r.valu = fc.u64("valu");
-            r.salu = fc.u64("salu");
-            r.vmem = fc.u64("vmem");
-            r.smem = fc.u64("smem");
-            r.lds = fc.u64("lds");
-            r.branch = fc.u64("branch");
-            r.waitcnt = fc.u64("waitcnt");
-            r.misc = fc.u64("misc");
-            r.cycles = fc.u64("cycles");
-            r.ipc = fc.f64("ipc");
-            r.vrfBankConflicts = fc.u64("vrfBankConflicts");
-            r.reuseMedian = fc.f64("reuseMedian");
-            r.instFootprint = fc.u64("instFootprint");
-            r.ibFlushes = fc.u64("ibFlushes");
-            r.readUniq = fc.f64("readUniq");
-            r.writeUniq = fc.f64("writeUniq");
-            r.vrfUniq = fc.f64("vrfUniq");
-            r.dataFootprint = fc.u64("dataFootprint");
-            r.simdUtil = fc.f64("simdUtil");
-            r.l1iMisses = fc.u64("l1iMisses");
-            r.l1iHits = fc.u64("l1iHits");
-            r.hazardViolations = fc.u64("hazardViolations");
-            r.scoreboardStalls = fc.u64("scoreboardStalls");
-            r.waitcntStalls = fc.u64("waitcntStalls");
-            r.ibEmptyStalls = fc.u64("ibEmptyStalls");
-            r.fuConflictStalls = fc.u64("fuConflictStalls");
-            r.coalescedLines = fc.u64("coalescedLines");
-            r.busyCycles = fc.u64("busyCycles");
+            for (const Metric &m : kMetrics) {
+                if (m.u64)
+                    r.*m.u64 = fc.u64(m.name);
+                else
+                    r.*m.f64 = fc.f64(m.name);
+            }
             row.key.workload = r.workload;
             row.key.isa = r.isa;
             row.key.seed = fc.u64("seed");
             row.key.knobDigest = fc.u64("knobs");
+            fc.end();
 
             // launch rows until "end"
             bool ended = false;
@@ -408,6 +392,7 @@ readBenchCacheStrict(std::istream &is, BenchCacheFile &out,
                 std::string kernel = lc.next("kernel");
                 uint64_t cyc = lc.u64("cycles");
                 uint64_t insts = lc.u64("insts");
+                lc.end();
                 r.launches.push_back({kernel, cyc, insts});
             }
             if (!ended)

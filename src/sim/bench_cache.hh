@@ -13,8 +13,9 @@
  * Format (version 6):
  *  - header: `last-bench-cache v6 scale=<g>`
  *  - one result row per (workload, ISA, seed, knob-digest) key holding
- *    every AppResult statistic, doubles in round-trip precision so a
- *    cached row reconstructs the in-memory result exactly;
+ *    every AppResult statistic in metric-table order (sim/metrics.hh),
+ *    doubles in round-trip precision so a cached row reconstructs the
+ *    in-memory result exactly;
  *  - `launch,<kernel>,<cycles>,<insts>` rows then `end` per result;
  *  - `quarantine,<workload>,<isa>,<seed>,<knobs>,<kind>,<message>`
  *    marker rows for specs whose simulation failed, so a shard's

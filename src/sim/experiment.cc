@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "sim/metrics.hh"
 #include "sim/parallel.hh"
 
 namespace last::sim
@@ -26,30 +27,11 @@ runApp(const std::string &workload, IsaKind isa, const GpuConfig &cfg,
     r.digest = wl->resultDigest();
 
     gpu::Gpu &gpu = rt.gpu();
-    // Resolve each stat name to its CU-local index once, then sum by
-    // index — the repeated per-CU string lookups the harness used to
-    // pay are not free when every sweep run ends here.
-    auto sum = [&gpu](const char *name) {
-        return uint64_t(gpu.sumCuStat(gpu.cuStatIndex(name)));
-    };
-    r.dynInsts = sum("dynInsts");
-    r.valu = sum("valuInsts");
-    r.salu = sum("saluInsts");
-    r.vmem = sum("vmemInsts");
-    r.smem = sum("smemInsts");
-    r.lds = sum("ldsInsts");
-    r.branch = sum("branchInsts");
-    r.waitcnt = sum("waitcntInsts");
-    r.misc = sum("miscInsts");
-    r.vrfBankConflicts = sum("vrfBankConflicts");
-    r.ibFlushes = sum("ibFlushes");
-    r.hazardViolations = sum("hazardViolations");
-    r.scoreboardStalls = sum("scoreboardStalls");
-    r.waitcntStalls = sum("waitcntStalls");
-    r.ibEmptyStalls = sum("ibEmptyStalls");
-    r.fuConflictStalls = sum("fuConflictStalls");
-    r.coalescedLines = sum("coalescedLines");
-    r.busyCycles = sum("busyCycles");
+    // The table's CU-stat rows: resolve each name to its CU-local index
+    // once, then sum by index over every CU.
+    for (const Metric &m : kMetrics)
+        if (m.cuStat)
+            r.*m.u64 = uint64_t(gpu.sumCuStat(gpu.cuStatIndex(m.cuStat)));
 
     // Merged histograms / weighted averages over CUs.
     stats::Histogram reuse(nullptr, "reuse", "merged");

@@ -1,6 +1,14 @@
 #include "helpers.hh"
 
+#include <fstream>
+#include <sstream>
 #include <vector>
+
+#include <gtest/gtest.h>
+
+#include "obs/divergence.hh"
+#include "sim/metrics.hh"
+#include "sim/shard.hh"
 
 namespace last::test
 {
@@ -123,6 +131,64 @@ randomKernel(uint64_t seed)
     result = kb.add(result, kb.cvt(DataType::F32, pickU()));
     kb.stGlobal(result, kb.add(out, off));
     return kb.build();
+}
+
+void
+expectSameResult(const sim::AppResult &a, const sim::AppResult &b)
+{
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.isa, b.isa);
+    EXPECT_EQ(a.quarantined, b.quarantined);
+    EXPECT_EQ(a.verified, b.verified);
+    EXPECT_EQ(a.digest, b.digest);
+    for (const sim::Metric &m : sim::kMetrics) {
+        if (m.u64)
+            EXPECT_EQ(a.*m.u64, b.*m.u64) << m.name;
+        else
+            EXPECT_DOUBLE_EQ(a.*m.f64, b.*m.f64) << m.name;
+    }
+    ASSERT_EQ(a.launches.size(), b.launches.size());
+    for (size_t i = 0; i < a.launches.size(); ++i) {
+        EXPECT_EQ(a.launches[i].kernel, b.launches[i].kernel);
+        EXPECT_EQ(a.launches[i].cycles, b.launches[i].cycles);
+        EXPECT_EQ(a.launches[i].instsIssued, b.launches[i].instsIssued);
+    }
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream os;
+    os << f.rdbuf();
+    return os.str();
+}
+
+std::string
+cacheBytes(const sim::BenchCacheFile &c)
+{
+    std::ostringstream os;
+    sim::writeBenchCache(os, c);
+    return os.str();
+}
+
+sim::BenchCacheFile
+sweepCache(const std::vector<sim::RunSpec> &specs,
+           const std::vector<sim::AppResult> &results)
+{
+    sim::BenchCacheFile cache;
+    cache.scale = specs.front().scale.factor;
+    for (size_t i = 0; i < specs.size(); ++i)
+        cache.rows.push_back({sim::specCacheKey(specs[i]), results[i]});
+    return cache;
+}
+
+std::string
+divergenceBytes(const sim::BenchCacheFile &c)
+{
+    std::ostringstream os;
+    obs::writeDivergenceJsonArray(os, sim::divergenceFromCache(c));
+    return os.str();
 }
 
 } // namespace last::test

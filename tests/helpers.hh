@@ -2,14 +2,17 @@
  * @file
  * Shared test utilities: a bare functional executor that runs a kernel
  * on a single wavefront without the timing model (for ISA semantics
- * tests), and a random IL kernel generator (for differential property
- * tests).
+ * tests), a random IL kernel generator (for differential property
+ * tests), the shared AppResult equality check, and byte serializers
+ * for artifact-identity checks.
  */
 
 #ifndef LAST_TESTS_HELPERS_HH
 #define LAST_TESTS_HELPERS_HH
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "arch/kernel_code.hh"
 #include "arch/wf_state.hh"
@@ -17,6 +20,7 @@
 #include "hsail/builder.hh"
 #include "memory/functional_memory.hh"
 #include "memory/lds.hh"
+#include "sim/bench_cache.hh"
 
 namespace last::test
 {
@@ -79,6 +83,25 @@ struct MiniWf
  * kernargs: [0]=in (u64), [8]=out (u64).
  */
 hsail::IlKernel randomKernel(uint64_t seed);
+
+/** gtest checks that two results agree on identity, quarantine state,
+ *  verification, digest, every metric-table row (each failure names
+ *  the row) and the per-launch records. */
+void expectSameResult(const sim::AppResult &a, const sim::AppResult &b);
+
+/** The file's bytes ("" when it cannot be opened). */
+std::string readFile(const std::string &path);
+
+/** writeBenchCache output of `c`. */
+std::string cacheBytes(const sim::BenchCacheFile &c);
+
+/** A sweep as a bench cache: results[i] keyed by
+ *  specCacheKey(specs[i]), at the first spec's scale. */
+sim::BenchCacheFile sweepCache(const std::vector<sim::RunSpec> &specs,
+                               const std::vector<sim::AppResult> &results);
+
+/** `last-divergence-v2` array bytes of divergenceFromCache(c). */
+std::string divergenceBytes(const sim::BenchCacheFile &c);
 
 } // namespace last::test
 

@@ -23,7 +23,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,11 +32,14 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "helpers.hh"
 #include "sim/bench_cache.hh"
 #include "sim/orchestrate.hh"
 #include "sim/shard.hh"
 
 using namespace last;
+using test::cacheBytes;
+using test::readFile;
 
 namespace
 {
@@ -56,15 +58,6 @@ struct TempDir
     }
 };
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream f(path);
-    std::ostringstream os;
-    os << f.rdbuf();
-    return os.str();
-}
-
 void
 writeFile(const std::string &path, const std::string &content)
 {
@@ -78,14 +71,6 @@ writeScript(const std::string &path, const std::string &body)
 {
     writeFile(path, "#!/bin/sh\n" + body);
     ::chmod(path.c_str(), 0755);
-}
-
-std::string
-cacheBytes(const sim::BenchCacheFile &c)
-{
-    std::ostringstream os;
-    sim::writeBenchCache(os, c);
-    return os.str();
 }
 
 /** A synthetic matrix of fake workloads: campaigns against /bin/sh

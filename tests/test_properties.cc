@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <ostream>
 #include <vector>
 
 #include "cu/probes.hh"
@@ -37,6 +38,11 @@ struct ValuCase
     uint32_t a, b;
     uint32_t expect;
 };
+
+// gtest lists a parameter without a printer as its raw bytes, which
+// here include the address of `name`; ctest bakes that listing into the
+// test names, so without this printer they change from build to build.
+void PrintTo(const ValuCase &c, std::ostream *os) { *os << c.name; }
 
 uint32_t f2b(float f) { return std::bit_cast<uint32_t>(f); }
 

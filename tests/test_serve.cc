@@ -34,6 +34,7 @@
 #include "common/error.hh"
 #include "common/json_in.hh"
 #include "common/socket.hh"
+#include "helpers.hh"
 #include "obs/divergence.hh"
 #include "obs/stats_export.hh"
 #include "serve/protocol.hh"
@@ -264,11 +265,7 @@ TEST(ServeCore, PreloadedCacheAnswersWithZeroSimulations)
     sim::SweepReport sweep = sim::runSweep(specs, {1, false});
     ASSERT_TRUE(sweep.allOk());
 
-    sim::BenchCacheFile cache;
-    cache.scale = 0.25;
-    for (size_t i = 0; i < specs.size(); ++i)
-        cache.rows.push_back(
-            {sim::specCacheKey(specs[i]), sweep.results[i]});
+    sim::BenchCacheFile cache = test::sweepCache(specs, sweep.results);
     // A quarantined row must NOT be retained by preload.
     sim::CachedRun poisoned;
     poisoned.key = sim::specCacheKey(

@@ -20,11 +20,15 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "helpers.hh"
 #include "obs/divergence.hh"
 #include "sim/bench_cache.hh"
+#include "sim/metrics.hh"
 #include "sim/shard.hh"
 
 using namespace last;
+using test::cacheBytes;
+using test::divergenceBytes;
 
 namespace
 {
@@ -38,23 +42,6 @@ smallMatrix()
         for (IsaKind isa : AllIsas)
             specs.push_back({w, isa, GpuConfig{}, scale});
     return specs;
-}
-
-std::string
-cacheBytes(const sim::BenchCacheFile &c)
-{
-    std::ostringstream os;
-    sim::writeBenchCache(os, c);
-    return os.str();
-}
-
-std::string
-divergenceBytes(const sim::BenchCacheFile &c)
-{
-    auto reports = sim::divergenceFromCache(c);
-    std::ostringstream os;
-    obs::writeDivergenceJsonArray(os, reports);
-    return os.str();
 }
 
 std::string
@@ -180,15 +167,7 @@ TEST(BenchCache, RowRoundTripIsExact)
     for (const auto &row : outcome.cache.rows) {
         const sim::CachedRun *b = back.find(row.key);
         ASSERT_NE(b, nullptr);
-        EXPECT_EQ(b->result.digest, row.result.digest);
-        EXPECT_EQ(b->result.dynInsts, row.result.dynInsts);
-        EXPECT_EQ(b->result.cycles, row.result.cycles);
-        EXPECT_DOUBLE_EQ(b->result.ipc, row.result.ipc);
-        EXPECT_DOUBLE_EQ(b->result.reuseMedian, row.result.reuseMedian);
-        EXPECT_DOUBLE_EQ(b->result.simdUtil, row.result.simdUtil);
-        EXPECT_EQ(b->result.coalescedLines, row.result.coalescedLines);
-        EXPECT_EQ(b->result.busyCycles, row.result.busyCycles);
-        ASSERT_EQ(b->result.launches.size(), row.result.launches.size());
+        test::expectSameResult(b->result, row.result);
     }
 }
 
@@ -585,9 +564,23 @@ TEST(TornInputFuzz, CacheTruncatedAtEveryByteIsRejected)
 
 TEST(TornInputFuzz, CacheStructuralDamageIsRejected)
 {
+    // A well-formed one-row cache (a zero in every metric column) for
+    // the damage that needs a real result row to land in.
+    std::string good = "last-bench-cache v6 scale=1\nVecAdd,HSAIL,1,0";
+    for (size_t i = 0; i < std::size(sim::kMetrics); ++i)
+        good += ",0";
+    good += ",0,42\nlaunch,vecadd,5,7\nend\neof,1\n";
+    std::istringstream intact(good);
+    sim::BenchCacheFile parsed;
+    ASSERT_NO_THROW(sim::readBenchCacheStrict(intact, parsed, "good.csv"));
+    auto damaged = [&good](const std::string &from, const std::string &to) {
+        std::string s = good;
+        return s.replace(s.find(from), from.size(), to);
+    };
+
     struct Case {
         const char *label;
-        const char *text;
+        std::string text;
         const char *needle; // expected substring of the error
     };
     const Case cases[] = {
@@ -631,6 +624,17 @@ TEST(TornInputFuzz, CacheStructuralDamageIsRejected)
          "\n"
          "eof,0\n",
          "blank"},
+        {"extra field on a result row", damaged(",0,42\n", ",0,42,7\n"),
+         "extra field"},
+        {"extra field on a launch row",
+         damaged("launch,vecadd,5,7\n", "launch,vecadd,5,7,9\n"),
+         "extra field"},
+        {"extra field on the trailer", damaged("eof,1\n", "eof,1,junk\n"),
+         "extra field"},
+        {"junk after the header scale",
+         damaged("scale=1\n", "scale=1junk\n"), "malformed header"},
+        {"verified out of range",
+         damaged("VecAdd,HSAIL,1,", "VecAdd,HSAIL,7,"), "verified"},
     };
     for (const Case &c : cases) {
         std::istringstream is(c.text);

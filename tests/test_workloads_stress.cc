@@ -33,6 +33,7 @@
 #include "finalizer/backend.hh"
 #include "finalizer/finalizer.hh"
 #include "finalizer/regalloc.hh"
+#include "helpers.hh"
 #include "hsail/builder.hh"
 #include "obs/divergence.hh"
 #include "sim/artifact_cache.hh"
@@ -67,34 +68,13 @@ at(double factor, uint64_t seed = 0)
     return s;
 }
 
-/** Field-for-field comparison of the stats both runs must agree on
- *  when only the execution harness (jobs, cache) changed. */
+/** The two runs differ only in execution harness (jobs, cache): both
+ *  verify and every statistic matches. */
 void
 expectIdenticalResults(const sim::AppResult &a, const sim::AppResult &b)
 {
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.isa, b.isa);
     EXPECT_TRUE(a.verified);
-    EXPECT_TRUE(b.verified);
-    EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.dynInsts, b.dynInsts);
-    EXPECT_EQ(a.valu, b.valu);
-    EXPECT_EQ(a.salu, b.salu);
-    EXPECT_EQ(a.vmem, b.vmem);
-    EXPECT_EQ(a.lds, b.lds);
-    EXPECT_EQ(a.branch, b.branch);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.vrfBankConflicts, b.vrfBankConflicts);
-    EXPECT_EQ(a.ibFlushes, b.ibFlushes);
-    EXPECT_EQ(a.instFootprint, b.instFootprint);
-    EXPECT_EQ(a.dataFootprint, b.dataFootprint);
-    EXPECT_EQ(a.hazardViolations, b.hazardViolations);
-    ASSERT_EQ(a.launches.size(), b.launches.size());
-    for (size_t i = 0; i < a.launches.size(); ++i) {
-        EXPECT_EQ(a.launches[i].kernel, b.launches[i].kernel);
-        EXPECT_EQ(a.launches[i].cycles, b.launches[i].cycles);
-        EXPECT_EQ(a.launches[i].instsIssued, b.launches[i].instsIssued);
-    }
+    test::expectSameResult(a, b);
 }
 
 } // namespace
