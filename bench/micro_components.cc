@@ -298,14 +298,12 @@ chainWfState(mem::FunctionalMemory &memory)
     return st;
 }
 
-/** Raw per-instruction execution rate through the two engines
- *  (Arg 0 = predecoded handlers, Arg 1 = virtual reference), VALU
- *  templates only — the lane-kernel speedup isolated from the timing
+/** Raw per-instruction execution rate through the handlers, VALU
+ *  templates only — the lane kernels isolated from the timing
  *  model. */
 void
 BM_ExecuteValuLoop(benchmark::State &state)
 {
-    const bool reference = state.range(0) != 0;
     auto code = gcnChain(false);
     const auto &metas = code->execMetas();
     mem::FunctionalMemory memory;
@@ -314,26 +312,21 @@ BM_ExecuteValuLoop(benchmark::State &state)
     for (auto _ : state) {
         for (size_t i = 0; i < metas.size(); ++i) {
             st.pc = code->offsetOf(i);
-            if (reference)
-                metas[i].inst->execute(st);
-            else
-                metas[i].handler(metas[i], st);
+            metas[i].handler(metas[i], st);
         }
         insts += metas.size();
     }
     state.counters["insts_per_s"] = benchmark::Counter(
         double(insts), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ExecuteValuLoop)->Arg(0)->Arg(1);
+BENCHMARK(BM_ExecuteValuLoop);
 
-/** Same comparison over a heterogeneous stream (VALU + SALU + VCMP +
- *  select + nop): what indirect handler dispatch costs against the
- *  double virtual/switch decode when the instruction kind changes
- *  every few instructions. */
+/** The same over a heterogeneous stream (VALU + SALU + VCMP + select
+ *  + nop): what indirect handler dispatch costs when the instruction
+ *  kind changes every few instructions. */
 void
 BM_DispatchChain(benchmark::State &state)
 {
-    const bool reference = state.range(0) != 0;
     auto code = gcnChain(true);
     const auto &metas = code->execMetas();
     mem::FunctionalMemory memory;
@@ -342,17 +335,14 @@ BM_DispatchChain(benchmark::State &state)
     for (auto _ : state) {
         for (size_t i = 0; i < metas.size(); ++i) {
             st.pc = code->offsetOf(i);
-            if (reference)
-                metas[i].inst->execute(st);
-            else
-                metas[i].handler(metas[i], st);
+            metas[i].handler(metas[i], st);
         }
         insts += metas.size();
     }
     state.counters["insts_per_s"] = benchmark::Counter(
         double(insts), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_DispatchChain)->Arg(0)->Arg(1);
+BENCHMARK(BM_DispatchChain);
 
 void
 BM_Finalize(benchmark::State &state)

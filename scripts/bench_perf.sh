@@ -19,9 +19,7 @@
 #     rewritten paths, including the skewed-duration scheduler pair
 #     (BM_ParallelInvokeSkewedStatic vs ...Steal) — the work-stealing
 #     pool must beat static chunking on the skewed batch — and the
-#     execution-engine pair (BM_ExecuteValuLoop / BM_DispatchChain,
-#     Arg 0 = predecoded handlers, Arg 1 = virtual reference) — the
-#     predecoded engine must beat virtual dispatch on both.
+#     execution handlers (BM_ExecuteValuLoop, BM_DispatchChain).
 #
 # It also proves statistic identity: the freshly generated cache files
 # (fig01_summary's and last_sweep's) must be byte-identical to the
@@ -165,22 +163,6 @@ if [ "$(awk -v s="$steal_ms" -v t="$static_ms" 'BEGIN{print (s < t) ? 1 : 0}')" 
     fail "work stealing (${steal_ms} ms) not faster than static chunking (${static_ms} ms) on the skewed batch"
 fi
 echo "bench_perf: skewed scheduler OK (static ${static_ms} ms, steal ${steal_ms} ms)" >&2
-
-# The execution-engine gate: the predecoded direct-threaded engine
-# (Arg 0) must beat the legacy virtual-dispatch reference (Arg 1) on
-# both the homogeneous VALU loop and the heterogeneous dispatch chain.
-for eng_bm in BM_ExecuteValuLoop BM_DispatchChain; do
-    pre_ns=$(jq -r --arg n "$eng_bm/0" '[.benchmarks[]
-        | select(.name == $n) | .real_time][0]' "$micro_json")
-    ref_ns=$(jq -r --arg n "$eng_bm/1" '[.benchmarks[]
-        | select(.name == $n) | .real_time][0]' "$micro_json")
-    [ "$pre_ns" != "null" ] && [ "$ref_ns" != "null" ] ||
-        fail "$eng_bm engine pair missing from micro_components output"
-    if [ "$(awk -v p="$pre_ns" -v r="$ref_ns" 'BEGIN{print (p < r) ? 1 : 0}')" != "1" ]; then
-        fail "predecoded engine (${pre_ns} ns) not faster than virtual dispatch (${ref_ns} ns) on $eng_bm"
-    fi
-    echo "bench_perf: $eng_bm OK (predecoded ${pre_ns} ns, reference ${ref_ns} ns)" >&2
-done
 
 # --- 5. Emit the baseline JSON. -------------------------------------
 result=$(jq -n \

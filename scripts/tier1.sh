@@ -32,13 +32,14 @@ cmake --build build -j || exit 1
 
 # TSan pass: build only the test binary and run the parallel-driver,
 # sweep-quarantine, and differential suites with 4 workers forced via
-# LAST_JOBS. The PTXL legs (PtxlExecEngine drives the predecoded
-# engine through the sweep pool; the three-way differentials overlap
-# HSAIL/GCN3/PTXL runs on the same pool) ride here too.
+# LAST_JOBS. The three-ISA legs ride here too: the three-way
+# differentials overlap HSAIL/GCN3/PTXL runs on the same pool, and
+# CommittedBenchCache re-simulates its cheap rows at all three ISAs
+# through runMany (concurrent predecode of shared kernels included).
 if cmake -B build-tsan -S . -DLAST_TSAN=ON &&
     cmake --build build-tsan -j --target last_tests; then
     LAST_JOBS=4 ./build-tsan/tests/last_tests \
-        --gtest_filter='ParallelDriver.*:SweepQuarantine.*:FastForward.*:FunctionalMemoryFootprint.*:ExecEngine.*:ServeSocket.*:PtxlExecEngine.*:RandomKernelDifferential.*:Table5/WorkloadDifferential.*' ||
+        --gtest_filter='ParallelDriver.*:SweepQuarantine.*:FastForward.*:FunctionalMemoryFootprint.*:ExecEngine.*:ServeSocket.*:PtxlExecEngine.*:RandomKernelDifferential.*:Table5/WorkloadDifferential.*:CommittedBenchCache.*' ||
         fail "TSan suite"
 else
     fail "TSan build"
@@ -50,11 +51,13 @@ fi
 # the stress-differential job (three-way cross-ISA agreement and the
 # N×N golden signatures), whose lane-mask/stack manipulation is where
 # out-of-bounds bugs would live — and the metric-table and
-# committed-cache checks, which walk member pointers over every row.
+# committed-cache checks, which walk member pointers over every row —
+# and the per-instruction golden vectors, whose edge operands (INT32_MIN
+# / -1, shift counts >= 32) are where signed-overflow UB would hide.
 if cmake -B build-asan -S . -DLAST_ASAN=ON &&
     cmake --build build-asan -j --target last_tests; then
     ./build-asan/tests/last_tests \
-        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:MetricTable.*:CommittedBenchCache.*' ||
+        --gtest_filter='FaultPlan.*:Watchdog.*:FaultSensitivity.*:MemoryGuards.*:IsaAgreement.*:SweepQuarantine.*:Logging.*:TornInputFuzz.*:Orchestrate.*:OrchestrateCampaign.*:ExecEngine.*:ServeProtocol.*:ServeCore.*:ServeQuarantine.*:Ptxl*:DivergenceSchemaV2.*:StressWorkloads.*:MetricTable.*:CommittedBenchCache.*:ExecGolden.*' ||
         fail "ASan/UBSan suite"
 else
     fail "ASan build"

@@ -1,24 +1,20 @@
 /**
  * @file
- * Predecoded execution metadata: the direct-threaded engine's view of
- * one static instruction.
+ * Predecoded execution metadata: the execution engine's view of one
+ * static instruction.
  *
- * The per-dynamic-instruction cost of the original engine was a
- * virtual execute() call into a nested format/opcode switch, plus
- * repeated virtual fuType()/sizeBytes()/latency() calls and
- * std::vector<RegOperand> walks in the issue stage. Predecode runs
- * once per static instruction (lazily, at first use of a sealed
- * kernel; see KernelCode::execMetas) and flattens everything the hot
- * path needs into this POD record:
+ * Predecode runs once per static instruction (lazily, at first use of
+ * a sealed kernel; see KernelCode::execMetas) and flattens everything
+ * the issue and execute stages need into this POD record, so the hot
+ * path makes no virtual call and walks no std::vector:
  *
  *  - `handler`: a flat function pointer resolved from the opcode, so
  *    dispatch is one indirect call with no switch chain. Each ISA
- *    picks it in its predecode() override (src/hsail/exec.cc,
- *    src/gcn3/exec.cc); handlers for the hot op classes iterate
- *    active lanes ctz-style with branchless, autovectorizable lane
- *    kernels. The legacy virtual path stays available behind
- *    GpuConfig::execReference and must produce bit-identical results
- *    (enforced by tests/test_exec_engine.cc).
+ *    picks it in its predecode() (src/{hsail,gcn3,ptxl}/exec.cc), and
+ *    the handler *is* the instruction's semantics: there is no other
+ *    execution path. Handlers for the hot op classes iterate active
+ *    lanes ctz-style with branchless, vectorizable lane kernels.
+ *    tests/golden/exec_vectors.txt pins every opcode's post-state.
  *  - flags/fu/size/latClass: the virtual metadata, pre-flattened.
  *  - `ops`: the RegOperand list copied into a fixed array (same
  *    order), for the hazard probe / scoreboard / bank-conflict walks.
@@ -29,9 +25,9 @@
  *  - c0/c1/imm: predigested ISA constants (s_waitcnt thresholds,
  *    s_nop wait states) so the CU never downcasts mid-issue.
  *
- * The record deliberately keeps a pointer to the Instruction: cold
- * fields (branch targets, reconvergence offsets, disassembly) stay
- * there, and the reference path needs the virtual execute().
+ * The record keeps a pointer to the Instruction: the handlers read
+ * operand fields and cold fields (branch targets, reconvergence
+ * offsets, disassembly) from it.
  */
 
 #ifndef LAST_ARCH_EXEC_META_HH
@@ -48,13 +44,15 @@ namespace last::arch
 struct WfState;
 struct ExecMeta;
 
-/** Direct-threaded handler: functionally execute `m.inst` for all
- *  active lanes of `wf` (bit-identical to `m.inst->execute(wf)`). */
+/** Execution handler: functionally execute `m.inst` for all active
+ *  lanes of `wf`; set wf.nextPc and, for memory ops, build the
+ *  MemAccess in wf.pendingAccess. */
 using ExecHandler = void (*)(const ExecMeta &m, WfState &wf);
 
 /** Latency class, resolved to cycles against a GpuConfig at issue
  *  time (the config's latency knobs are sweep parameters, so cycles
- *  cannot be baked in at predecode). Mirrors Instruction::latency. */
+ *  cannot be baked in at predecode). KernelCode::buildMetas maps
+ *  FuType and the IsF64/IsTrans flags to it. */
 enum class LatClass : uint8_t
 {
     VAlu,    ///< cfg.valuLatency
@@ -107,9 +105,8 @@ struct ExecMeta
 
     bool is(InstFlags f) const { return (flags & f) != 0; }
 
-    /** Result latency in cycles; bit-identical to
-     *  Instruction::latency(cfg) (asserted per instruction by
-     *  tests/test_exec_engine.cc). */
+    /** Result latency in cycles (beyond issue); the mapping is pinned
+     *  by ExecEngine.LatencyClassReadsItsConfigKnob. */
     unsigned
     latency(const GpuConfig &cfg) const
     {

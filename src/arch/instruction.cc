@@ -1,52 +1,7 @@
 #include "arch/instruction.hh"
 
-#include "arch/exec_meta.hh"
-#include "arch/wf_state.hh"
-
 namespace last::arch
 {
-
-namespace
-{
-
-/** Fallback handler: dispatch through the virtual reference engine.
- *  Used for instructions whose ISA predecode() installs nothing
- *  better; correct for every instruction by construction. */
-void
-refExecHandler(const ExecMeta &m, WfState &wf)
-{
-    m.inst->execute(wf);
-}
-
-} // namespace
-
-void
-Instruction::predecode(ExecMeta &m) const
-{
-    m.handler = refExecHandler;
-}
-
-unsigned
-Instruction::latency(const GpuConfig &cfg) const
-{
-    switch (fuType()) {
-      case FuType::VAlu:
-        return is(IsF64) || is(IsTrans) ? cfg.valuLatencyF64
-                                        : cfg.valuLatency;
-      case FuType::SAlu:
-        return cfg.saluLatency;
-      case FuType::Branch:
-        return cfg.branchLatency;
-      case FuType::Lds:
-        return cfg.ldsLatency;
-      case FuType::VMem:
-      case FuType::SMem:
-        return 0; // timing comes from the memory system
-      case FuType::Special:
-        return 1;
-    }
-    return 1;
-}
 
 std::string
 Instruction::mnemonic() const

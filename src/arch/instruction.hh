@@ -3,8 +3,10 @@
  * ISA-neutral instruction interface.
  *
  * The compute-unit timing model is ISA-blind: it executes objects that
- * implement this interface. The HSAIL and GCN3 front ends each provide
- * concrete instruction classes. Everything the CU needs for timing —
+ * implement this interface. The HSAIL, GCN3 and PTXL front ends each
+ * provide a concrete instruction class, whose predecode() installs the
+ * execution handler (exec_meta.hh) that defines the instruction's
+ * semantics. Everything the CU needs for timing —
  * functional-unit class, encoded size (instruction-footprint and fetch
  * modelling), register operands (bank-conflict, reuse-distance and
  * value-uniqueness probes), and branch/memory/barrier semantics — is
@@ -18,13 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/types.hh"
 
 namespace last::arch
 {
 
-struct WfState;
 struct ExecMeta;
 
 /** Functional unit an instruction issues to. */
@@ -88,31 +88,22 @@ enum InstFlags : uint32_t
 };
 
 /**
- * Abstract instruction. Concrete subclasses live in src/hsail and
- * src/gcn3. Instances are immutable after construction; execute()
- * mutates only the wavefront state passed in.
+ * Abstract instruction. Concrete subclasses live in src/hsail,
+ * src/gcn3 and src/ptxl. Instances are immutable after construction;
+ * their handlers mutate only the wavefront state passed in.
  */
 class Instruction
 {
   public:
     virtual ~Instruction() = default;
 
-    /** Functionally execute for all active lanes; set wf.nextPc and,
-     *  for memory ops, push a MemAccess descriptor onto wf. This is
-     *  the reference engine; the direct-threaded engine (exec_meta.hh)
-     *  must match it bit for bit. */
-    virtual void execute(WfState &wf) const = 0;
-
     /**
-     * Second half of predecode: pick the direct-threaded handler and
-     * fill ISA-specific ExecMeta fields. The caller
-     * (KernelCode::execMetas) has already flattened the ISA-neutral
-     * metadata (flags/fu/size/latency class/operand arrays) into `m`.
-     * The default implementation installs a handler that falls back to
-     * the virtual execute(); ISAs override to install specialized
-     * active-lane kernels for their hot op classes.
+     * Second half of predecode: pick the execution handler and fill
+     * ISA-specific ExecMeta fields. The caller (KernelCode::execMetas)
+     * has already flattened the ISA-neutral metadata (flags/fu/size/
+     * latency class/operand arrays) into `m`.
      */
-    virtual void predecode(ExecMeta &m) const;
+    virtual void predecode(ExecMeta &m) const = 0;
 
     /** Assembly-like rendering, used by examples/tests. */
     virtual std::string disassemble() const = 0;
@@ -124,9 +115,6 @@ class Instruction
      *  instructions all report 8 (the paper's 64-bit approximation of
      *  BRIG); GCN3 reports 4, 8, or 12. */
     virtual unsigned sizeBytes() const = 0;
-
-    /** Result latency in cycles (beyond issue). */
-    virtual unsigned latency(const GpuConfig &cfg) const;
 
     bool is(InstFlags f) const { return (flags_ & f) != 0; }
     uint32_t flags() const { return flags_; }

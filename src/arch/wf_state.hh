@@ -58,10 +58,10 @@ struct PtxlSplit
 };
 
 /**
- * Timing-only descriptor of a memory access produced by execute().
- * Functional data movement already happened inside execute(); the CU
- * uses this descriptor for coalescing, cache timing, waitcnt/scoreboard
- * release, and footprint/uniqueness statistics.
+ * Timing-only descriptor of a memory access produced by an execution
+ * handler. Functional data movement already happened in the handler;
+ * the CU uses this descriptor for coalescing, cache timing,
+ * waitcnt/scoreboard release, and footprint/uniqueness statistics.
  */
 struct MemAccess
 {
@@ -117,7 +117,7 @@ struct WfState
 
     /** @{ Control flow. */
     Addr pc = 0;      ///< byte offset of the current instruction
-    Addr nextPc = 0;  ///< set by execute()
+    Addr nextPc = 0;  ///< set by the execution handler
     bool done = false;
     bool atBarrier = false;
     /** @} */
@@ -170,7 +170,7 @@ struct WfState
     uint64_t spillStridePerWi = 0;
     /** @} */
 
-    /** Memory access produced by the last execute(), if any. */
+    /** Memory access produced by the last handler call, if any. */
     std::optional<MemAccess> pendingAccess;
 
     /** True while a conditionally-skipped instruction should still

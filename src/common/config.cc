@@ -1,7 +1,6 @@
 #include "common/config.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -36,24 +35,6 @@ isaFromName(const std::string &name, IsaKind &out)
         }
     }
     return false;
-}
-
-bool
-GpuConfig::defaultExecReference()
-{
-    // Resolved once: the switch selects an engine for the whole
-    // process; per-run overrides go through the GpuConfig field.
-    static const bool def = [] {
-#ifdef LAST_EXEC_REFERENCE_DEFAULT
-        bool v = true;
-#else
-        bool v = false;
-#endif
-        if (const char *env = std::getenv("LAST_EXEC_REFERENCE"))
-            v = *env && std::strcmp(env, "0") != 0;
-        return v;
-    }();
-    return def;
 }
 
 std::string

@@ -127,16 +127,6 @@ struct GpuConfig
     /// to full per-cycle ticking; disable to cross-check that.
     bool fastForwardIdle = true;
 
-    /// Execute through the legacy virtual-dispatch engine
-    /// (Instruction::execute) instead of the predecoded
-    /// direct-threaded handlers. Bit-identical results either way —
-    /// the differential suite (tests/test_exec_engine.cc) enforces it.
-    /// Defaults from the LAST_EXEC_REFERENCE environment variable (or
-    /// the -DLAST_EXEC_REFERENCE=ON build); see defaultExecReference().
-    bool execReference = defaultExecReference();
-
-    static bool defaultExecReference();
-
     /** @{ Forward-progress watchdog (see DESIGN.md §"Error model").
      * runToCompletion() throws a DeadlockError carrying a
      * per-wavefront state dump when either limit is exceeded. The

@@ -784,16 +784,11 @@ ComputeUnit::issueInst(Wavefront &wf, const arch::ExecMeta &m, Cycle now)
     if (st.isa == IsaKind::HSAIL)
         rs_before = st.rs.size();
     st.pc = st.code->offsetOf(wf.pcIdx);
-    // Dispatch: one indirect call through the predecoded handler, or
-    // the legacy virtual path when the reference engine is selected
-    // (bit-identical either way; tests/test_exec_engine.cc). A memory
-    // access, if any, is built in place in st.pendingAccess and
+    // Dispatch: one indirect call through the predecoded handler. A
+    // memory access, if any, is built in place in st.pendingAccess and
     // consumed by reference below — reset happens after use, so the
-    // executors never pay for a 600-byte MemAccess copy.
-    if (!cfg.execReference)
-        m.handler(m, st);
-    else
-        m.inst->execute(st);
+    // handlers never pay for a 600-byte MemAccess copy.
+    m.handler(m, st);
     ++wf.dynInstCount;
     ++wf.wg->launch->instsIssued;
     // A diverging branch pushed an RS entry inside execute: record the

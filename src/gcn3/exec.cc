@@ -1,32 +1,31 @@
 /**
  * @file
- * Direct-threaded execution handlers for GCN3.
+ * Execution handlers for GCN3: the ISA's only execution semantics.
  *
  * Gcn3Inst::predecode resolves each static instruction to one of the
- * flat handlers below. The hot VALU and VOPC op classes get templated
- * lane kernels, one instantiation per opcode, fed by *resolved operand
- * rows*: each source is turned into a stride-1 pointer over 64 lanes
- * up front (a VGPR row directly; SGPRs and constants broadcast into a
- * thread-local scratch row; the VOP3 negate modifier folded in), so
- * the inner loop is a branchless elementwise map the compiler can
- * autovectorize. Active lanes iterate ctz-style (the probes.hh idiom)
- * with a plain 0..63 loop when the exec mask is full. FLAT/DS/SMEM
- * build their MemAccess in place inside wf.pendingAccess (no 600-byte
- * copies); SALU/SOPP and the cold VALU tail reuse the unchanged
- * reference executors non-virtually.
+ * flat handlers below. The 32-bit VALU and VOPC ops get lane kernels,
+ * one instantiation per opcode, fed by *resolved operand rows*: each
+ * source is turned into a stride-1 pointer over 64 lanes up front (a
+ * VGPR row directly; SGPRs and constants broadcast into a thread-local
+ * scratch row; the VOP3 negate modifier folded in), so the inner loop
+ * is a branchless elementwise map the compiler can vectorize. Active
+ * lanes iterate ctz-style (the probes.hh idiom) with a plain 0..63
+ * loop when the exec mask is full. FLAT/DS/SMEM build their MemAccess
+ * in place inside wf.pendingAccess (no 600-byte copies); SALU, SOPP
+ * and the F64 VALU/VOPC tail call the executors in src/gcn3/inst.cc.
  *
- * Correctness contract: bit-identical to Gcn3Inst::execute(). The
- * same per-lane scalar expressions run in the same ascending lane
- * order (so overlapping stores and atomics land identically), SGPR
- * broadcast is exact because no VALU op writes scalar state mid-loop,
- * and the differential suite in tests/test_exec_engine.cc compares
- * every workload field for field against the reference engine.
+ * Lanes run in ascending order everywhere, so overlapping stores and
+ * atomics land in a defined order; broadcasting an SGPR once per
+ * instruction is exact because no VALU op writes scalar state
+ * mid-loop. tests/golden/exec_vectors.txt pins every opcode's
+ * post-state under every source kind (tests/test_exec_golden.cc).
  */
 
 #include <bit>
 #include <cmath>
 
 #include "arch/exec_meta.hh"
+#include "arch/fp_pin.hh"
 #include "common/logging.hh"
 #include "gcn3/inst.hh"
 
@@ -36,6 +35,10 @@ namespace last::gcn3
 namespace
 {
 
+using arch::fp::inOrder;
+using arch::fp::inOrder3;
+using arch::fp::minMax;
+
 float asF32(uint32_t b) { return std::bit_cast<float>(b); }
 uint32_t fromF32(float f) { return std::bit_cast<uint32_t>(f); }
 
@@ -43,8 +46,7 @@ uint32_t fromF32(float f) { return std::bit_cast<uint32_t>(f); }
  *  the parallel sweep driver executes wavefronts on many threads. */
 thread_local arch::LaneVec t_row[3];
 
-/** Operands a templated VALU/VOPC kernel reads (reference: the a/b/c
- *  reads in executeValu). */
+/** Source operands a templated VALU kernel reads. */
 constexpr unsigned
 valuArity(Gcn3Op op)
 {
@@ -71,10 +73,10 @@ valuArity(Gcn3Op op)
 }
 
 /**
- * One lane of a 32-bit VALU op. Expressions copied verbatim from
- * Gcn3Inst::executeValu — do not "simplify" them. `d_old` is the
- * pre-write destination value (V_MAC_F32 accumulates into it);
- * `vcc_bit` is this lane's VCC bit (V_CNDMASK_B32 selects on it).
+ * One lane of a 32-bit VALU op: the executable specification, do not
+ * "simplify" it. `d_old` is the pre-write destination value (V_MAC_F32
+ * accumulates into it); `vcc_bit` is this lane's VCC bit
+ * (V_CNDMASK_B32 selects on it).
  */
 template <Gcn3Op OP>
 inline uint32_t
@@ -102,17 +104,17 @@ laneV(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c,
     } else if constexpr (OP == Gcn3Op::V_MUL_HI_U32) {
         return uint32_t((uint64_t(a) * b) >> 32);
     } else if constexpr (OP == Gcn3Op::V_ADD_F32) {
-        return fromF32(asF32(a) + asF32(b));
+        return inOrder<float>(a, b, fromF32(asF32(a) + asF32(b)));
     } else if constexpr (OP == Gcn3Op::V_SUB_F32) {
         return fromF32(asF32(a) - asF32(b));
     } else if constexpr (OP == Gcn3Op::V_MUL_F32) {
-        return fromF32(asF32(a) * asF32(b));
+        return inOrder<float>(a, b, fromF32(asF32(a) * asF32(b)));
     } else if constexpr (OP == Gcn3Op::V_MAC_F32) {
-        return fromF32(asF32(a) * asF32(b) + asF32(d_old));
+        return laneV<Gcn3Op::V_MAD_F32>(a, b, d_old, 0, false);
     } else if constexpr (OP == Gcn3Op::V_MIN_F32) {
-        return fromF32(std::fmin(asF32(a), asF32(b)));
+        return minMax<float>(a, b, fromF32(std::fmin(asF32(a), asF32(b))));
     } else if constexpr (OP == Gcn3Op::V_MAX_F32) {
-        return fromF32(std::fmax(asF32(a), asF32(b)));
+        return minMax<float>(a, b, fromF32(std::fmax(asF32(a), asF32(b))));
     } else if constexpr (OP == Gcn3Op::V_MIN_U32) {
         return std::min(a, b);
     } else if constexpr (OP == Gcn3Op::V_MAX_U32) {
@@ -136,9 +138,12 @@ laneV(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c,
     } else if constexpr (OP == Gcn3Op::V_CNDMASK_B32) {
         return vcc_bit ? b : a;
     } else if constexpr (OP == Gcn3Op::V_MAD_F32) {
-        return fromF32(asF32(a) * asF32(b) + asF32(c));
-    } else if constexpr (OP == Gcn3Op::V_FMA_F32) {
-        return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
+        uint32_t p = laneV<Gcn3Op::V_MUL_F32>(a, b, 0, 0, false);
+        return laneV<Gcn3Op::V_ADD_F32>(p, c, 0, 0, false);
+    } else if constexpr (OP == Gcn3Op::V_FMA_F32 ||
+                         OP == Gcn3Op::V_DIV_FMAS_F32) {
+        return inOrder3<float>(
+            a, b, c, fromF32(std::fma(asF32(a), asF32(b), asF32(c))));
     } else if constexpr (OP == Gcn3Op::V_MAD_U32_U24) {
         return (a & 0xffffff) * (b & 0xffffff) + c;
     } else if constexpr (OP == Gcn3Op::V_BFE_U32) {
@@ -146,8 +151,6 @@ laneV(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c,
         unsigned width = c & 31;
         uint32_t mask = width == 0 ? 0xffffffffu : ((1u << width) - 1);
         return (a >> off) & mask;
-    } else if constexpr (OP == Gcn3Op::V_DIV_FMAS_F32) {
-        return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
     } else if constexpr (OP == Gcn3Op::V_DIV_FIXUP_F32) {
         return fromF32(asF32(c) / asF32(b));
     } else {
@@ -156,7 +159,7 @@ laneV(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c,
     }
 }
 
-/** One lane of a 32-bit V_CMP; mirrors executeVcmp's typed cmpi. */
+/** One lane of a 32-bit V_CMP. */
 template <Gcn3Op OP>
 inline bool
 laneCmp(uint32_t a, uint32_t b)
@@ -212,7 +215,7 @@ struct Gcn3Exec
 
     /**
      * Resolve source operand `i` to a stride-1 row of 64 lane values,
-     * value-identical to readSrc32(wf, i, lane) for every lane. VGPRs
+     * the value readSrc32(wf, i, lane) gives for every lane. VGPRs
      * without a negate modifier return the register row itself; every
      * other case broadcasts or copies into `scratch`. Hoisting the
      * SGPR read out of the lane loop is exact: no templated VALU/VOPC
@@ -250,8 +253,7 @@ struct Gcn3Exec
         return scratch.data();
     }
 
-    /** @{ Cold wrappers: the unchanged reference executors, minus the
-     *  virtual hop (and the switch chains they sit behind). */
+    /** @{ Cold op classes: the executors in inst.cc. */
     static void
     saluH(const Meta &m, Wf &wf)
     {
@@ -281,7 +283,7 @@ struct Gcn3Exec
     }
     /** @} */
 
-    /** s_load: mirrors executeSmem with the MemAccess built in place. */
+    /** s_load: sbase pair + offset into consecutive SGPRs. */
     static void
     smemH(const Meta &m, Wf &wf)
     {
@@ -299,8 +301,8 @@ struct Gcn3Exec
         acc.scalarBytes = 4 * dwords;
     }
 
-    /** flat_*: mirrors executeFlat; ctz lane order == the reference's
-     *  ascending scan, so atomics and overlapping stores agree. */
+    /** flat_*: per-lane 64-bit addresses; an atomic returns the old
+     *  value, and lanes hitting one address apply in lane order. */
     static void
     flatH(const Meta &m, Wf &wf)
     {
@@ -339,7 +341,8 @@ struct Gcn3Exec
         }
     }
 
-    /** ds_*: mirrors executeDs, same in-place/ctz treatment. */
+    /** ds_*: per-lane offsets (plus the instruction offset) into the
+     *  workgroup's LDS block. */
     static void
     dsH(const Meta &m, Wf &wf)
     {
@@ -405,11 +408,9 @@ struct Gcn3Exec
     }
 
     /** Carry/borrow ALU family: writes the VGPR dst per lane and the
-     *  per-lane carry-out bit into VCC, exactly like executeValu
-     *  (new_vcc starts as the old VCC, active lanes overwrite their
+     *  per-lane carry-out bit into VCC (active lanes overwrite their
      *  bit, inactive lanes keep theirs; ADDC/SUBB read their carry-in
-     *  from the pre-instruction VCC, which the reference never updates
-     *  mid-loop). */
+     *  from the pre-instruction VCC). */
     enum class CarryOp { Add, Addc, Sub, Subb };
 
     template <CarryOp OP>
@@ -456,7 +457,7 @@ struct Gcn3Exec
     }
 
     /** 32-bit V_CMP over resolved rows; wf.vcc gets the result mask
-     *  (inactive lanes zero), exactly like executeVcmp. */
+     *  (inactive lanes zero). */
     template <Gcn3Op OP>
     static void
     vcmpH(const Meta &m, Wf &wf)
@@ -483,8 +484,6 @@ struct Gcn3Exec
     static arch::ExecHandler
     pickValu(const Gcn3Inst &I)
     {
-        if (I.dst.kind != Dst::Kind::Vgpr)
-            return nullptr;
         switch (I.opc) {
           case Gcn3Op::V_MOV_B32: return &valuH<Gcn3Op::V_MOV_B32>;
           case Gcn3Op::V_NOT_B32: return &valuH<Gcn3Op::V_NOT_B32>;
@@ -536,7 +535,7 @@ struct Gcn3Exec
           case Gcn3Op::V_SUBB_U32: return &carryH<CarryOp::Subb>;
           default:
             // V_DIV_SCALE writes VCC as a predicate, F64 ops handle
-            // register pairs: reference executor.
+            // register pairs: executeValu.
             return nullptr;
         }
     }
@@ -564,7 +563,7 @@ struct Gcn3Exec
           case Gcn3Op::V_CMP_GT_F32: return &vcmpH<Gcn3Op::V_CMP_GT_F32>;
           case Gcn3Op::V_CMP_GE_F32: return &vcmpH<Gcn3Op::V_CMP_GE_F32>;
           default:
-            return nullptr; // F64 compares: reference executor
+            return nullptr; // F64 compares: executeVcmp
         }
     }
 

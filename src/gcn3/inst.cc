@@ -6,6 +6,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "arch/fp_pin.hh"
 #include "arch/kernel_code.hh"
 #include "common/logging.hh"
 
@@ -14,6 +15,10 @@ namespace last::gcn3
 
 namespace
 {
+
+using arch::fp::inOrder;
+using arch::fp::inOrder3;
+using arch::fp::minMax;
 
 float asF32(uint32_t b) { return std::bit_cast<float>(b); }
 uint32_t fromF32(float f) { return std::bit_cast<uint32_t>(f); }
@@ -521,7 +526,7 @@ Gcn3Inst::readSrc64(const arch::WfState &wf, unsigned i,
 }
 
 // ---------------------------------------------------------------------
-// Execution
+// Cold executors (called by the handlers in exec.cc)
 // ---------------------------------------------------------------------
 
 void
@@ -570,8 +575,8 @@ Gcn3Inst::executeSalu(arch::WfState &wf) const
         wf.scc = b > a;
         wr32(a - b);
         break;
-      case Gcn3Op::S_MUL_I32:
-        wr32(uint32_t(int32_t(a) * int32_t(b)));
+      case Gcn3Op::S_MUL_I32: // low 32 bits: the same for signed
+        wr32(a * b);
         break;
       case Gcn3Op::S_LSHL_B32: {
         uint32_t r = a << (b & 31);
@@ -642,13 +647,11 @@ Gcn3Inst::executeSalu(arch::WfState &wf) const
       case Gcn3Op::S_MOVK_I32:
         wr32(uint32_t(int32_t(int16_t(simm))));
         break;
-      case Gcn3Op::S_ADDK_I32:
-        wr32(uint32_t(int32_t(wf.readSgpr(dst.reg)) +
-                      int32_t(int16_t(simm))));
+      case Gcn3Op::S_ADDK_I32: // wraps like the hardware
+        wr32(wf.readSgpr(dst.reg) + uint32_t(int32_t(int16_t(simm))));
         break;
       case Gcn3Op::S_MULK_I32:
-        wr32(uint32_t(int32_t(wf.readSgpr(dst.reg)) *
-                      int32_t(int16_t(simm))));
+        wr32(wf.readSgpr(dst.reg) * uint32_t(int32_t(int16_t(simm))));
         break;
       case Gcn3Op::S_CMPK_EQ_U32:
         wf.scc = wf.readSgpr(dst.reg) == uint32_t(uint16_t(simm));
@@ -664,57 +667,21 @@ Gcn3Inst::executeSalu(arch::WfState &wf) const
 void
 Gcn3Inst::executeVcmp(arch::WfState &wf) const
 {
+    // The F64 compares; Gcn3Exec::vcmpH runs the 32-bit ones.
     uint64_t result = 0;
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if (!(wf.exec & (1ull << lane)))
-            continue;
-        bool r = false;
-        auto cmpi = [&](auto x, auto y) {
-            switch (opc) {
-              case Gcn3Op::V_CMP_EQ_U32: case Gcn3Op::V_CMP_EQ_I32:
-              case Gcn3Op::V_CMP_EQ_F32: case Gcn3Op::V_CMP_EQ_F64:
-                return x == y;
-              case Gcn3Op::V_CMP_NE_U32: case Gcn3Op::V_CMP_NE_I32:
-              case Gcn3Op::V_CMP_NE_F32: case Gcn3Op::V_CMP_NE_F64:
-                return x != y;
-              case Gcn3Op::V_CMP_LT_U32: case Gcn3Op::V_CMP_LT_I32:
-              case Gcn3Op::V_CMP_LT_F32: case Gcn3Op::V_CMP_LT_F64:
-                return x < y;
-              case Gcn3Op::V_CMP_LE_U32: case Gcn3Op::V_CMP_LE_I32:
-              case Gcn3Op::V_CMP_LE_F32: case Gcn3Op::V_CMP_LE_F64:
-                return x <= y;
-              case Gcn3Op::V_CMP_GT_U32: case Gcn3Op::V_CMP_GT_I32:
-              case Gcn3Op::V_CMP_GT_F32: case Gcn3Op::V_CMP_GT_F64:
-                return x > y;
-              case Gcn3Op::V_CMP_GE_U32: case Gcn3Op::V_CMP_GE_I32:
-              case Gcn3Op::V_CMP_GE_F32: case Gcn3Op::V_CMP_GE_F64:
-                return x >= y;
-              default:
-                return false;
-            }
-        };
+    for (uint64_t rest = wf.exec; rest; rest &= rest - 1) {
+        unsigned lane = unsigned(std::countr_zero(rest));
+        double x = asF64(readSrc64(wf, 0, lane));
+        double y = asF64(readSrc64(wf, 1, lane));
+        bool r;
         switch (opc) {
-          case Gcn3Op::V_CMP_EQ_F32: case Gcn3Op::V_CMP_NE_F32:
-          case Gcn3Op::V_CMP_LT_F32: case Gcn3Op::V_CMP_LE_F32:
-          case Gcn3Op::V_CMP_GT_F32: case Gcn3Op::V_CMP_GE_F32:
-            r = cmpi(asF32(readSrc32(wf, 0, lane)),
-                     asF32(readSrc32(wf, 1, lane)));
-            break;
-          case Gcn3Op::V_CMP_EQ_F64: case Gcn3Op::V_CMP_NE_F64:
-          case Gcn3Op::V_CMP_LT_F64: case Gcn3Op::V_CMP_LE_F64:
-          case Gcn3Op::V_CMP_GT_F64: case Gcn3Op::V_CMP_GE_F64:
-            r = cmpi(asF64(readSrc64(wf, 0, lane)),
-                     asF64(readSrc64(wf, 1, lane)));
-            break;
-          case Gcn3Op::V_CMP_EQ_I32: case Gcn3Op::V_CMP_NE_I32:
-          case Gcn3Op::V_CMP_LT_I32: case Gcn3Op::V_CMP_LE_I32:
-          case Gcn3Op::V_CMP_GT_I32: case Gcn3Op::V_CMP_GE_I32:
-            r = cmpi(int32_t(readSrc32(wf, 0, lane)),
-                     int32_t(readSrc32(wf, 1, lane)));
-            break;
-          default:
-            r = cmpi(readSrc32(wf, 0, lane), readSrc32(wf, 1, lane));
-            break;
+          case Gcn3Op::V_CMP_EQ_F64: r = x == y; break;
+          case Gcn3Op::V_CMP_NE_F64: r = x != y; break;
+          case Gcn3Op::V_CMP_LT_F64: r = x < y; break;
+          case Gcn3Op::V_CMP_LE_F64: r = x <= y; break;
+          case Gcn3Op::V_CMP_GT_F64: r = x > y; break;
+          case Gcn3Op::V_CMP_GE_F64: r = x >= y; break;
+          default: panic("unhandled VOPC op %s", opName(opc));
         }
         if (r)
             result |= 1ull << lane;
@@ -725,14 +692,13 @@ Gcn3Inst::executeVcmp(arch::WfState &wf) const
 void
 Gcn3Inst::executeValu(arch::WfState &wf) const
 {
+    // The F64 and conversion-to/from-F64 ops and V_DIV_SCALE; the
+    // 32-bit ops run in Gcn3Exec::valuH / carryH.
     uint64_t new_vcc = wf.vcc;
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
+    for (uint64_t rest = wf.exec; rest; rest &= rest - 1) {
+        unsigned lane = unsigned(std::countr_zero(rest));
         uint64_t bit = 1ull << lane;
-        if (!(wf.exec & bit))
-            continue;
         uint32_t a = readSrc32(wf, 0, lane);
-        uint32_t b = readSrc32(wf, 1, lane);
-        uint32_t c = readSrc32(wf, 2, lane);
         auto a64 = [&] { return readSrc64(wf, 0, lane); };
         auto b64 = [&] { return readSrc64(wf, 1, lane); };
         auto c64 = [&] { return readSrc64(wf, 2, lane); };
@@ -740,25 +706,9 @@ Gcn3Inst::executeValu(arch::WfState &wf) const
         auto wr64v = [&](uint64_t v) { wf.writeVreg64(dst.reg, lane, v); };
 
         switch (opc) {
-          case Gcn3Op::V_MOV_B32: wr(a); break;
-          case Gcn3Op::V_NOT_B32: wr(~a); break;
-          case Gcn3Op::V_RCP_F32: wr(fromF32(1.0f / asF32(a))); break;
           case Gcn3Op::V_RCP_F64: wr64v(fromF64(1.0 / asF64(a64()))); break;
-          case Gcn3Op::V_SQRT_F32:
-            wr(fromF32(std::sqrt(asF32(a))));
-            break;
           case Gcn3Op::V_SQRT_F64:
             wr64v(fromF64(std::sqrt(asF64(a64()))));
-            break;
-          case Gcn3Op::V_CVT_F32_U32: wr(fromF32(float(a))); break;
-          case Gcn3Op::V_CVT_F32_I32:
-            wr(fromF32(float(int32_t(a))));
-            break;
-          case Gcn3Op::V_CVT_U32_F32:
-            wr(uint32_t(asF32(a)));
-            break;
-          case Gcn3Op::V_CVT_I32_F32:
-            wr(uint32_t(int32_t(asF32(a))));
             break;
           case Gcn3Op::V_CVT_F64_F32:
             wr64v(fromF64(double(asF32(a))));
@@ -770,96 +720,30 @@ Gcn3Inst::executeValu(arch::WfState &wf) const
           case Gcn3Op::V_CVT_U32_F64:
             wr(uint32_t(asF64(a64())));
             break;
-          case Gcn3Op::V_ADD_U32: {
-            uint64_t r = uint64_t(a) + b;
-            wr(uint32_t(r));
-            new_vcc = (r >> 32) ? (new_vcc | bit) : (new_vcc & ~bit);
-            break;
-          }
-          case Gcn3Op::V_ADDC_U32: {
-            uint64_t r = uint64_t(a) + b + ((wf.vcc & bit) ? 1 : 0);
-            wr(uint32_t(r));
-            new_vcc = (r >> 32) ? (new_vcc | bit) : (new_vcc & ~bit);
-            break;
-          }
-          case Gcn3Op::V_SUB_U32: {
-            new_vcc = (b > a) ? (new_vcc | bit) : (new_vcc & ~bit);
-            wr(a - b);
-            break;
-          }
-          case Gcn3Op::V_SUBB_U32: {
-            uint32_t borrow_in = (wf.vcc & bit) ? 1 : 0;
-            uint64_t rhs = uint64_t(b) + borrow_in;
-            new_vcc = (rhs > a) ? (new_vcc | bit) : (new_vcc & ~bit);
-            wr(uint32_t(a - rhs));
-            break;
-          }
-          case Gcn3Op::V_MUL_LO_U32: wr(a * b); break;
-          case Gcn3Op::V_MUL_HI_U32:
-            wr(uint32_t((uint64_t(a) * b) >> 32));
-            break;
-          case Gcn3Op::V_ADD_F32: wr(fromF32(asF32(a) + asF32(b))); break;
-          case Gcn3Op::V_SUB_F32: wr(fromF32(asF32(a) - asF32(b))); break;
-          case Gcn3Op::V_MUL_F32: wr(fromF32(asF32(a) * asF32(b))); break;
-          case Gcn3Op::V_MAC_F32:
-            wr(fromF32(asF32(a) * asF32(b) +
-                       asF32(wf.readVreg(dst.reg, lane))));
-            break;
-          case Gcn3Op::V_MIN_F32:
-            wr(fromF32(std::fmin(asF32(a), asF32(b))));
-            break;
-          case Gcn3Op::V_MAX_F32:
-            wr(fromF32(std::fmax(asF32(a), asF32(b))));
-            break;
-          case Gcn3Op::V_MIN_U32: wr(std::min(a, b)); break;
-          case Gcn3Op::V_MAX_U32: wr(std::max(a, b)); break;
-          case Gcn3Op::V_MIN_I32:
-            wr(uint32_t(std::min(int32_t(a), int32_t(b))));
-            break;
-          case Gcn3Op::V_MAX_I32:
-            wr(uint32_t(std::max(int32_t(a), int32_t(b))));
-            break;
-          case Gcn3Op::V_AND_B32: wr(a & b); break;
-          case Gcn3Op::V_OR_B32: wr(a | b); break;
-          case Gcn3Op::V_XOR_B32: wr(a ^ b); break;
-          case Gcn3Op::V_LSHLREV_B32: wr(b << (a & 31)); break;
-          case Gcn3Op::V_LSHRREV_B32: wr(b >> (a & 31)); break;
-          case Gcn3Op::V_ASHRREV_I32:
-            wr(uint32_t(int32_t(b) >> (a & 31)));
-            break;
-          case Gcn3Op::V_CNDMASK_B32:
-            wr((wf.vcc & bit) ? b : a);
-            break;
-          case Gcn3Op::V_MAD_F32:
-            wr(fromF32(asF32(a) * asF32(b) + asF32(c)));
-            break;
-          case Gcn3Op::V_FMA_F32:
-            wr(fromF32(std::fma(asF32(a), asF32(b), asF32(c))));
-            break;
-          case Gcn3Op::V_MAD_U32_U24:
-            wr((a & 0xffffff) * (b & 0xffffff) + c);
-            break;
-          case Gcn3Op::V_BFE_U32: {
-            unsigned off = b & 31;
-            unsigned width = c & 31;
-            uint32_t mask = width == 0 ? 0xffffffffu : ((1u << width) - 1);
-            wr((a >> off) & mask);
-            break;
-          }
           case Gcn3Op::V_ADD_F64:
-            wr64v(fromF64(asF64(a64()) + asF64(b64())));
+            wr64v(inOrder<double>(a64(), b64(),
+                                  fromF64(asF64(a64()) + asF64(b64()))));
             break;
           case Gcn3Op::V_MUL_F64:
-            wr64v(fromF64(asF64(a64()) * asF64(b64())));
+            wr64v(inOrder<double>(a64(), b64(),
+                                  fromF64(asF64(a64()) * asF64(b64()))));
             break;
           case Gcn3Op::V_FMA_F64:
-            wr64v(fromF64(std::fma(asF64(a64()), asF64(b64()), asF64(c64()))));
+          case Gcn3Op::V_DIV_FMAS_F64:
+            wr64v(inOrder3<double>(a64(), b64(), c64(),
+                                   fromF64(std::fma(asF64(a64()),
+                                                    asF64(b64()),
+                                                    asF64(c64())))));
             break;
           case Gcn3Op::V_MIN_F64:
-            wr64v(fromF64(std::fmin(asF64(a64()), asF64(b64()))));
+            wr64v(minMax<double>(a64(), b64(),
+                                 fromF64(std::fmin(asF64(a64()),
+                                                   asF64(b64())))));
             break;
           case Gcn3Op::V_MAX_F64:
-            wr64v(fromF64(std::fmax(asF64(a64()), asF64(b64()))));
+            wr64v(minMax<double>(a64(), b64(),
+                                 fromF64(std::fmax(asF64(a64()),
+                                                   asF64(b64())))));
             break;
           case Gcn3Op::V_DIV_SCALE_F32:
             // Scaling pass-through: the fixup step produces the exact
@@ -871,19 +755,10 @@ Gcn3Inst::executeValu(arch::WfState &wf) const
             wr64v(a64());
             new_vcc &= ~bit;
             break;
-          case Gcn3Op::V_DIV_FMAS_F32:
-            wr(fromF32(std::fma(asF32(a), asF32(b), asF32(c))));
-            break;
-          case Gcn3Op::V_DIV_FMAS_F64:
-            wr64v(fromF64(std::fma(asF64(a64()), asF64(b64()), asF64(c64()))));
-            break;
-          case Gcn3Op::V_DIV_FIXUP_F32:
+          case Gcn3Op::V_DIV_FIXUP_F64:
             // dst = numerator(src2) / denominator(src1), correctly
             // rounded; the hardware sequence guarantees this, so the
             // model computes it exactly here.
-            wr(fromF32(asF32(c) / asF32(b)));
-            break;
-          case Gcn3Op::V_DIV_FIXUP_F64:
             wr64v(fromF64(asF64(c64()) / asF64(b64())));
             break;
           default:
@@ -891,90 +766,6 @@ Gcn3Inst::executeValu(arch::WfState &wf) const
         }
     }
     wf.vcc = new_vcc;
-}
-
-void
-Gcn3Inst::executeSmem(arch::WfState &wf) const
-{
-    Addr addr = wf.readSgpr64(srcs[0].reg) + simm;
-    unsigned dwords = dstWidth();
-    for (unsigned d = 0; d < dwords; ++d) {
-        uint32_t v = wf.memory->read<uint32_t>(addr + 4 * d);
-        wf.writeSgpr(dst.reg + d, v);
-    }
-    arch::MemAccess acc;
-    acc.kind = arch::MemAccess::Kind::ScalarLoad;
-    acc.scalarAddr = addr;
-    acc.scalarBytes = 4 * dwords;
-    wf.pendingAccess = acc;
-}
-
-void
-Gcn3Inst::executeFlat(arch::WfState &wf) const
-{
-    arch::MemAccess acc;
-    bool is_store = is(arch::IsStore) && !is(arch::IsAtomic);
-    unsigned dwords =
-        (opc == Gcn3Op::FLAT_LOAD_DWORDX2 ||
-         opc == Gcn3Op::FLAT_STORE_DWORDX2) ? 2 : 1;
-    acc.kind = is_store ? arch::MemAccess::Kind::VectorStore
-                        : arch::MemAccess::Kind::VectorLoad;
-    acc.bytesPerLane = 4 * dwords;
-    acc.mask = wf.exec;
-
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if (!(wf.exec & (1ull << lane)))
-            continue;
-        Addr addr = wf.readVreg64(srcs[0].reg, lane);
-        acc.laneAddrs[lane] = addr;
-        if (opc == Gcn3Op::FLAT_ATOMIC_ADD) {
-            uint32_t old = wf.memory->read<uint32_t>(addr);
-            uint32_t add = wf.readVreg(srcs[1].reg, lane);
-            wf.memory->write<uint32_t>(addr, old + add);
-            if (dst.valid())
-                wf.writeVreg(dst.reg, lane, old);
-        } else if (is_store) {
-            for (unsigned d = 0; d < dwords; ++d)
-                wf.memory->write<uint32_t>(
-                    addr + 4 * d, wf.readVreg(srcs[1].reg + d, lane));
-        } else {
-            for (unsigned d = 0; d < dwords; ++d)
-                wf.writeVreg(dst.reg + d, lane,
-                             wf.memory->read<uint32_t>(addr + 4 * d));
-        }
-    }
-    wf.pendingAccess = acc;
-}
-
-void
-Gcn3Inst::executeDs(arch::WfState &wf) const
-{
-    arch::MemAccess acc;
-    bool is_store = is(arch::IsStore);
-    unsigned dwords =
-        (opc == Gcn3Op::DS_READ_B64 || opc == Gcn3Op::DS_WRITE_B64) ? 2
-                                                                    : 1;
-    acc.kind = is_store ? arch::MemAccess::Kind::LdsStore
-                        : arch::MemAccess::Kind::LdsLoad;
-    acc.bytesPerLane = 4 * dwords;
-    acc.mask = wf.exec;
-
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if (!(wf.exec & (1ull << lane)))
-            continue;
-        Addr off = Addr(wf.readVreg(srcs[0].reg, lane)) + simm;
-        acc.laneAddrs[lane] = off;
-        if (is_store) {
-            for (unsigned d = 0; d < dwords; ++d)
-                wf.lds->write32(off + 4 * d,
-                                wf.readVreg(srcs[1].reg + d, lane));
-        } else {
-            for (unsigned d = 0; d < dwords; ++d)
-                wf.writeVreg(dst.reg + d, lane,
-                             wf.lds->read32(off + 4 * d));
-        }
-    }
-    wf.pendingAccess = acc;
 }
 
 void
@@ -1016,40 +807,6 @@ Gcn3Inst::executeSopp(arch::WfState &wf) const
         panic("unhandled SOPP op %s", opName(opc));
     }
     wf.nextPc = fallthrough;
-}
-
-void
-Gcn3Inst::execute(arch::WfState &wf) const
-{
-    wf.nextPc = wf.pc + sizeBytes();
-    switch (format()) {
-      case Format::SOP1:
-      case Format::SOP2:
-      case Format::SOPC:
-      case Format::SOPK:
-        executeSalu(wf);
-        return;
-      case Format::SOPP:
-        executeSopp(wf);
-        return;
-      case Format::SMEM:
-        executeSmem(wf);
-        return;
-      case Format::VOPC:
-        executeVcmp(wf);
-        return;
-      case Format::VOP1:
-      case Format::VOP2:
-      case Format::VOP3:
-        executeValu(wf);
-        return;
-      case Format::FLAT:
-        executeFlat(wf);
-        return;
-      case Format::DS:
-        executeDs(wf);
-        return;
-    }
 }
 
 std::string

@@ -122,12 +122,11 @@ class Gcn3Inst : public arch::Instruction
                         unsigned data_vgpr, uint32_t offset);
     /** @} */
 
-    void execute(arch::WfState &wf) const override;
     std::string disassemble() const override;
     arch::FuType fuType() const override;
     unsigned sizeBytes() const override;
 
-    /** Install the direct-threaded handler (src/gcn3/exec.cc). */
+    /** Install the execution handler (src/gcn3/exec.cc). */
     void predecode(arch::ExecMeta &m) const override;
 
     Gcn3Op op() const { return opc; }
@@ -149,8 +148,8 @@ class Gcn3Inst : public arch::Instruction
     uint32_t soppImm() const { return simm; }
 
   private:
-    /** The direct-threaded handlers (exec.cc) read operand fields and
-     *  reuse the private executors non-virtually on cold paths. */
+    /** The execution handlers (exec.cc) read the operand fields and
+     *  call the executors below for the cold op classes. */
     friend struct Gcn3Exec;
 
     explicit Gcn3Inst(Gcn3Op op);
@@ -166,12 +165,11 @@ class Gcn3Inst : public arch::Instruction
                        unsigned lane) const;
 
     void executeSalu(arch::WfState &wf) const;
-    void executeValu(arch::WfState &wf) const;
-    void executeVcmp(arch::WfState &wf) const;
-    void executeSmem(arch::WfState &wf) const;
-    void executeFlat(arch::WfState &wf) const;
-    void executeDs(arch::WfState &wf) const;
     void executeSopp(arch::WfState &wf) const;
+    /** The F64 (and to/from-F64 conversion) ops and V_DIV_SCALE. */
+    void executeValu(arch::WfState &wf) const;
+    /** The F64 compares. */
+    void executeVcmp(arch::WfState &wf) const;
 
     Gcn3Op opc;
     Dst dst;

@@ -1,21 +1,19 @@
 /**
  * @file
- * Direct-threaded execution handlers for HSAIL.
+ * Execution handlers for HSAIL: the ISA's only execution semantics.
  *
  * HsailInst::predecode resolves each static instruction to one of the
- * flat handlers below. The hot ALU op classes get templated,
- * branchless lane kernels instantiated per (opcode, data type) and
- * iterate only the active lanes (ctz over the mask, the probes.hh
- * idiom), with a full-row loop when all 64 lanes are live so the
- * compiler can autovectorize. Cold or wide (64-bit) ops fall back to
- * the unchanged reference executors, called non-virtually.
+ * flat handlers below. 32-bit ALU and compare ops get kernels
+ * instantiated per (opcode, data type) from the shared IL lane
+ * semantics (hsail/lane_ops.hh), iterating only the active lanes (ctz
+ * over the mask, the probes.hh idiom) with a full-row loop when all 64
+ * lanes are live so the compiler can vectorize. 64-bit types,
+ * conversions, dispatch intrinsics and irregular operand lists take
+ * the generic path through laneAlu, defined here too.
  *
- * Correctness contract: every handler is bit-identical to the
- * corresponding piece of HsailInst::execute() — same per-lane scalar
- * expressions (hence the same IEEE results), same ascending lane
- * order for memory side effects, same MemAccess contents. The
- * differential suite in tests/test_exec_engine.cc runs every workload
- * both ways and compares field for field.
+ * Lanes run in ascending order everywhere, so overlapping stores and
+ * atomics land in a defined order. tests/golden/exec_vectors.txt pins
+ * every opcode's post-state (tests/test_exec_golden.cc).
  */
 
 #include <bit>
@@ -24,6 +22,7 @@
 #include "arch/exec_meta.hh"
 #include "common/logging.hh"
 #include "hsail/inst.hh"
+#include "hsail/lane_ops.hh"
 
 namespace last::hsail
 {
@@ -31,148 +30,145 @@ namespace last::hsail
 namespace
 {
 
-float asF32(uint32_t b) { return std::bit_cast<float>(b); }
-uint32_t fromF32(float f) { return std::bit_cast<uint32_t>(f); }
-
-/** Operands a templated ALU kernel reads (reference: laneAlu). */
-constexpr unsigned
-aluArity(Opcode op)
+/** lane32<OP, DT> with the opcode picked at run time. */
+template <DataType DT>
+uint32_t
+lane32Of(Opcode op, uint32_t a, uint32_t b, uint32_t c)
 {
     switch (op) {
-      case Opcode::Abs:
-      case Opcode::Neg:
-      case Opcode::Not:
-      case Opcode::Mov:
-        return 1;
-      case Opcode::Mad:
-      case Opcode::Fma:
-      case Opcode::Bfe:
-      case Opcode::CMov:
-        return 3;
+#define LAST_X(O)                                                            \
+      case Opcode::O: return lane32<Opcode::O, DT>(a, b, c);
+      LAST_IL_LANE32_OPS(LAST_X)
+#undef LAST_X
       default:
-        return 2;
+        panic("laneAlu on non-ALU opcode %s", opcodeName(op));
     }
 }
 
-/**
- * One lane of a 32-bit ALU op. The expressions are copied verbatim
- * from HsailInst::laneAlu (with the uint64 zero-extensions collapsed,
- * which cannot change any 32-bit result) — do not "simplify" them.
- */
-template <Opcode OP, DataType DT>
-inline uint32_t
-lane32(uint32_t a, [[maybe_unused]] uint32_t b, [[maybe_unused]] uint32_t c)
+uint32_t
+lane32Of(Opcode op, DataType t, uint32_t a, uint32_t b, uint32_t c)
 {
-    if constexpr (OP == Opcode::Add) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) + asF32(b));
-        else
-            return a + b;
-    } else if constexpr (OP == Opcode::Sub) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) - asF32(b));
-        else
-            return a - b;
-    } else if constexpr (OP == Opcode::Mul) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) * asF32(b));
-        else
-            return a * b;
-    } else if constexpr (OP == Opcode::MulHi) {
-        return uint32_t((uint64_t(a) * uint64_t(b)) >> 32);
-    } else if constexpr (OP == Opcode::Mad) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(asF32(a) * asF32(b) + asF32(c));
-        else
-            return a * b + c;
-    } else if constexpr (OP == Opcode::Fma) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
-        else
-            return a * b + c;
-    } else if constexpr (OP == Opcode::Min) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fmin(asF32(a), asF32(b)));
-        else if constexpr (DT == DataType::S32)
-            return uint32_t(std::min(int32_t(a), int32_t(b)));
-        else
-            return std::min(a, b);
-    } else if constexpr (OP == Opcode::Max) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fmax(asF32(a), asF32(b)));
-        else if constexpr (DT == DataType::S32)
-            return uint32_t(std::max(int32_t(a), int32_t(b)));
-        else
-            return std::max(a, b);
-    } else if constexpr (OP == Opcode::Abs) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(std::fabs(asF32(a)));
-        else
-            return uint32_t(std::abs(int32_t(a)));
-    } else if constexpr (OP == Opcode::Neg) {
-        if constexpr (DT == DataType::F32)
-            return fromF32(-asF32(a));
-        else
-            return uint32_t(-int32_t(a));
-    } else if constexpr (OP == Opcode::And) {
-        return a & b;
-    } else if constexpr (OP == Opcode::Or) {
-        return a | b;
-    } else if constexpr (OP == Opcode::Xor) {
-        return a ^ b;
-    } else if constexpr (OP == Opcode::Not) {
-        return ~a;
-    } else if constexpr (OP == Opcode::Shl) {
-        return a << (b & 31);
-    } else if constexpr (OP == Opcode::Shr) {
-        return a >> (b & 31);
-    } else if constexpr (OP == Opcode::AShr) {
-        return uint32_t(int32_t(a) >> (b & 31));
-    } else if constexpr (OP == Opcode::Bfe) {
-        unsigned off = b & 31;
-        unsigned width = c & 31;
-        uint32_t mask = width == 0 ? 0xffffffffu : ((1u << width) - 1);
-        return (a >> off) & mask;
-    } else if constexpr (OP == Opcode::CMov) {
-        return a ? b : c;
-    } else if constexpr (OP == Opcode::Mov) {
-        return a;
+    switch (t) {
+      case DataType::F32: return lane32Of<DataType::F32>(op, a, b, c);
+      case DataType::S32: return lane32Of<DataType::S32>(op, a, b, c);
+      default: return lane32Of<DataType::U32>(op, a, b, c);
+    }
+}
+
+/** One lane of a U64/F64 op. F64 arithmetic and U64 add, sub, mul,
+ *  not and shifts are 64 bits wide, the bitwise ops, moves and selects
+ *  move the whole pair; every other opcode keeps its unsigned 32-bit
+ *  meaning on the low words. */
+uint64_t
+lane64(Opcode op, DataType t, uint64_t a, uint64_t b, uint64_t c)
+{
+    if (t == DataType::F64) {
+        using arch::fp::inOrder;
+        using arch::fp::inOrder3;
+        using arch::fp::minMax;
+        switch (op) {
+          case Opcode::Add:
+            return inOrder<double>(a, b, fromF64(asF64(a) + asF64(b)));
+          case Opcode::Sub: return fromF64(asF64(a) - asF64(b));
+          case Opcode::Mul:
+            return inOrder<double>(a, b, fromF64(asF64(a) * asF64(b)));
+          case Opcode::Mad: {
+            uint64_t p = lane64(Opcode::Mul, t, a, b, 0);
+            return lane64(Opcode::Add, t, p, c, 0);
+          }
+          case Opcode::Fma:
+            return inOrder3<double>(
+                a, b, c, fromF64(std::fma(asF64(a), asF64(b), asF64(c))));
+          case Opcode::Div: return fromF64(asF64(a) / asF64(b));
+          case Opcode::Min:
+            return minMax<double>(a, b,
+                                  fromF64(std::fmin(asF64(a), asF64(b))));
+          case Opcode::Max:
+            return minMax<double>(a, b,
+                                  fromF64(std::fmax(asF64(a), asF64(b))));
+          case Opcode::Abs: return fromF64(std::fabs(asF64(a)));
+          case Opcode::Neg: return fromF64(-asF64(a));
+          case Opcode::Sqrt: return fromF64(std::sqrt(asF64(a)));
+          default: break;
+        }
     } else {
-        static_assert(OP == Opcode::Mov, "no lane kernel for opcode");
-        return 0;
+        switch (op) {
+          case Opcode::Add: return a + b;
+          case Opcode::Sub: return a - b;
+          case Opcode::Mul: return a * b;
+          case Opcode::Not: return ~a;
+          case Opcode::Shl: return a << (b & 63);
+          case Opcode::Shr: return a >> (b & 63);
+          default: break;
+        }
     }
-}
-
-template <CmpOp C, typename T>
-inline bool
-docmp(T x, T y)
-{
-    switch (C) {
-      case CmpOp::Eq: return x == y;
-      case CmpOp::Ne: return x != y;
-      case CmpOp::Lt: return x < y;
-      case CmpOp::Le: return x <= y;
-      case CmpOp::Gt: return x > y;
-      case CmpOp::Ge: return x >= y;
+    switch (op) {
+      case Opcode::And: return a & b;
+      case Opcode::Or: return a | b;
+      case Opcode::Xor: return a ^ b;
+      case Opcode::Mov: return a;
+      case Opcode::CMov: return uint32_t(a) ? b : c;
+      default:
+        return lane32Of(op, DataType::U32, uint32_t(a), uint32_t(b),
+                        uint32_t(c));
     }
-    return false;
-}
-
-template <CmpOp C, DataType DT>
-inline uint32_t
-laneCmp32(uint32_t a, uint32_t b)
-{
-    bool r;
-    if constexpr (DT == DataType::F32)
-        r = docmp<C>(asF32(a), asF32(b));
-    else if constexpr (DT == DataType::S32)
-        r = docmp<C>(int32_t(a), int32_t(b));
-    else
-        r = docmp<C>(a, b); // uint32: same order as the u64 reference
-    return r ? 1u : 0u;
 }
 
 } // namespace
+
+uint64_t
+laneAlu(Opcode op, DataType t, DataType src_t, CmpOp cmp,
+        const Reg (&src)[3], uint64_t imm, const arch::WfState &wf,
+        unsigned lane)
+{
+    auto rd = [&](Reg r, DataType rt) -> uint64_t {
+        if (!r.valid())
+            return 0;
+        return typeRegs(rt) == 2 ? wf.readVreg64(r.idx, lane)
+                                 : uint64_t(wf.readVreg(r.idx, lane));
+    };
+
+    switch (op) {
+      case Opcode::MovImm:
+        return imm;
+      case Opcode::Cvt: {
+        uint64_t s = rd(src[0], src_t);
+        double v;
+        switch (src_t) {
+          case DataType::F32: v = asF32(uint32_t(s)); break;
+          case DataType::F64: v = asF64(s); break;
+          case DataType::S32: v = double(int32_t(s)); break;
+          default: v = double(s); break;
+        }
+        switch (t) {
+          case DataType::F32: return fromF32(float(v));
+          case DataType::F64: return fromF64(v);
+          case DataType::S32: return uint64_t(uint32_t(int32_t(v)));
+          case DataType::U64: return uint64_t(v);
+          default: return uint64_t(uint32_t(v));
+        }
+      }
+      case Opcode::WorkItemAbsId:
+        return wf.globalId(lane);
+      case Opcode::WorkItemId:
+        return wf.wfIdInWg * WavefrontSize + lane;
+      case Opcode::WorkGroupId:
+        return wf.wgId;
+      case Opcode::WorkGroupSize:
+        return wf.wgSize;
+      case Opcode::GridSize:
+        return wf.gridSize;
+      default:
+        break;
+    }
+
+    const uint64_t a = rd(src[0], t), b = rd(src[1], t), c = rd(src[2], t);
+    if (op == Opcode::Cmp)
+        return laneCmp(cmp, t, a, b) ? 1 : 0;
+    if (typeRegs(t) == 1)
+        return lane32Of(op, t, uint32_t(a), uint32_t(b), uint32_t(c));
+    return lane64(op, t, a, b, c);
+}
 
 struct HsailExec
 {
@@ -185,7 +181,7 @@ struct HsailExec
         return static_cast<const HsailInst &>(*m.inst);
     }
 
-    /** @{ Trivial control handlers (reference: execute() switch). */
+    /** @{ Control handlers. */
     static void
     nopH(const Meta &, Wf &wf)
     {
@@ -213,7 +209,10 @@ struct HsailExec
     }
     /** @} */
 
-    /** Conditional branch; mirrors executeBranch lane for lane. */
+    /** Conditional branch. A divergent one is managed with the
+     *  reconvergence stack: the current top becomes the reconvergence
+     *  entry and waits at the immediate post-dominator; both paths are
+     *  pushed and execute serially, taken path first. */
     static void
     cbrH(const Meta &m, Wf &wf)
     {
@@ -247,13 +246,16 @@ struct HsailExec
     }
 
     /**
-     * Memory; mirrors executeMem with two changes that cannot alter
-     * results: the MemAccess is built in place inside wf.pendingAccess
-     * (emplace() value-initializes it exactly like the reference's
-     * local `MemAccess acc;`, and the CU consumes it by reference —
-     * no 600-byte copies either way), and lane loops are ctz-driven
-     * in the same ascending order the reference's 0..63 scan visits,
-     * so overlapping stores and atomics land identically.
+     * Memory. The MemAccess is built in place inside wf.pendingAccess
+     * (the CU consumes it by reference: no 600-byte copies).
+     *  - Kernarg/arg: the IL has no ABI, so the simulator supplies the
+     *    kernarg base itself and serves the access from functional
+     *    state.
+     *  - Group: zero-based offsets within the workgroup's LDS block.
+     *  - Global/readonly/private/spill reach main memory; private and
+     *    spill use simulator-held base addresses and per-work-item
+     *    strides (no visible address arithmetic, the abstraction the
+     *    paper calls out).
      */
     static void
     memH(const Meta &m, Wf &wf)
@@ -369,14 +371,24 @@ struct HsailExec
         }
     }
 
-    /** Cold/wide ALU fallback: the unchanged reference executor,
-     *  called without the virtual hop. */
+    /** Generic ALU path: laneAlu per active lane. */
     static void
     aluGenericH(const Meta &m, Wf &wf)
     {
         const HsailInst &I = inst(m);
         wf.nextPc = wf.pc + HsailInst::EncodedBytes;
-        I.executeAlu(wf);
+        if (!I.dstReg.valid())
+            return;
+        const bool wide = I.opc != Opcode::Cmp && typeRegs(I.dtype) == 2;
+        for (uint64_t rest = wf.activeMask(); rest; rest &= rest - 1) {
+            unsigned lane = unsigned(std::countr_zero(rest));
+            uint64_t r = laneAlu(I.opc, I.dtype, I.srcDtype, I.cmpop,
+                                 I.srcRegs, I.imm, wf, lane);
+            if (wide)
+                wf.writeVreg64(I.dstReg.idx, lane, r);
+            else
+                wf.writeVreg(I.dstReg.idx, lane, uint32_t(r));
+        }
     }
 
     /** movimm: broadcast the immediate into the active lanes. */
@@ -404,27 +416,7 @@ struct HsailExec
     {
         const HsailInst &I = inst(m);
         wf.nextPc = wf.pc + HsailInst::EncodedBytes;
-        uint64_t mask = wf.activeMask();
-
-        constexpr unsigned N = aluArity(OP);
-        uint32_t *d = wf.vregs[I.dstReg.idx].data();
-        const uint32_t *a = wf.vregs[I.srcRegs[0].idx].data();
-        const uint32_t *b = a;
-        const uint32_t *c = a;
-        if constexpr (N >= 2)
-            b = wf.vregs[I.srcRegs[1].idx].data();
-        if constexpr (N >= 3)
-            c = wf.vregs[I.srcRegs[2].idx].data();
-
-        if (mask == ~0ull) {
-            for (unsigned l = 0; l < WavefrontSize; ++l)
-                d[l] = lane32<OP, DT>(a[l], b[l], c[l]);
-        } else {
-            for (uint64_t rest = mask; rest; rest &= rest - 1) {
-                unsigned l = unsigned(std::countr_zero(rest));
-                d[l] = lane32<OP, DT>(a[l], b[l], c[l]);
-            }
-        }
+        aluRows<OP, DT>(wf.activeMask(), wf, I.dstReg, I.srcRegs);
     }
 
     /** 32-bit compare, one instantiation per (cmp op, type). */
@@ -439,7 +431,6 @@ struct HsailExec
         uint32_t *d = wf.vregs[I.dstReg.idx].data();
         const uint32_t *a = wf.vregs[I.srcRegs[0].idx].data();
         const uint32_t *b = wf.vregs[I.srcRegs[1].idx].data();
-
         if (mask == ~0ull) {
             for (unsigned l = 0; l < WavefrontSize; ++l)
                 d[l] = laneCmp32<C, DT>(a[l], b[l]);
@@ -456,27 +447,11 @@ struct HsailExec
     pickAluDt(Opcode op)
     {
         switch (op) {
-          case Opcode::Add: return &aluH<Opcode::Add, DT>;
-          case Opcode::Sub: return &aluH<Opcode::Sub, DT>;
-          case Opcode::Mul: return &aluH<Opcode::Mul, DT>;
-          case Opcode::MulHi: return &aluH<Opcode::MulHi, DT>;
-          case Opcode::Mad: return &aluH<Opcode::Mad, DT>;
-          case Opcode::Fma: return &aluH<Opcode::Fma, DT>;
-          case Opcode::Min: return &aluH<Opcode::Min, DT>;
-          case Opcode::Max: return &aluH<Opcode::Max, DT>;
-          case Opcode::Abs: return &aluH<Opcode::Abs, DT>;
-          case Opcode::Neg: return &aluH<Opcode::Neg, DT>;
-          case Opcode::And: return &aluH<Opcode::And, DT>;
-          case Opcode::Or: return &aluH<Opcode::Or, DT>;
-          case Opcode::Xor: return &aluH<Opcode::Xor, DT>;
-          case Opcode::Not: return &aluH<Opcode::Not, DT>;
-          case Opcode::Shl: return &aluH<Opcode::Shl, DT>;
-          case Opcode::Shr: return &aluH<Opcode::Shr, DT>;
-          case Opcode::AShr: return &aluH<Opcode::AShr, DT>;
-          case Opcode::Bfe: return &aluH<Opcode::Bfe, DT>;
-          case Opcode::CMov: return &aluH<Opcode::CMov, DT>;
-          case Opcode::Mov: return &aluH<Opcode::Mov, DT>;
-          default: return nullptr; // Div/Rem/Sqrt/Cvt/specials: generic
+#define LAST_X(O)                                                            \
+          case Opcode::O: return &aluH<Opcode::O, DT>;
+          LAST_IL_LANE32_OPS(LAST_X)
+#undef LAST_X
+          default: return nullptr; // Cvt/MovImm/specials: generic
         }
     }
 
@@ -523,8 +498,7 @@ struct HsailExec
                 srcs_valid(2)) {
                 arch::ExecHandler h = nullptr;
                 switch (I.dtype) {
-                  case DataType::B32:
-                    h = pickCmpDt<DataType::B32>(I.cmpop); break;
+                  case DataType::B32: // compares like U32
                   case DataType::U32:
                     h = pickCmpDt<DataType::U32>(I.cmpop); break;
                   case DataType::S32:
@@ -541,13 +515,12 @@ struct HsailExec
           default: {
             // The templated kernels assume every register they touch
             // is present; anything irregular takes the generic path,
-            // which handles missing operands like the reference does.
+            // where a missing operand reads 0.
             if (typeRegs(I.dtype) == 1 && I.dstReg.valid() &&
                 srcs_valid(aluArity(I.opc))) {
                 arch::ExecHandler h = nullptr;
                 switch (I.dtype) {
-                  case DataType::B32:
-                    h = pickAluDt<DataType::B32>(I.opc); break;
+                  case DataType::B32: // lane32 treats B32 as U32
                   case DataType::U32:
                     h = pickAluDt<DataType::U32>(I.opc); break;
                   case DataType::S32:

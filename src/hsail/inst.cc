@@ -1,7 +1,5 @@
 #include "hsail/inst.hh"
 
-#include <bit>
-#include <cmath>
 #include <sstream>
 
 #include "arch/kernel_code.hh"
@@ -9,16 +7,6 @@
 
 namespace last::hsail
 {
-
-namespace
-{
-
-float asF32(uint32_t b) { return std::bit_cast<float>(b); }
-uint32_t fromF32(float f) { return std::bit_cast<uint32_t>(f); }
-double asF64(uint64_t b) { return std::bit_cast<double>(b); }
-uint64_t fromF64(double d) { return std::bit_cast<uint64_t>(d); }
-
-} // namespace
 
 const char *
 opcodeName(Opcode op)
@@ -364,406 +352,6 @@ HsailInst::fuType() const
         return arch::FuType::Special;
       default:
         return arch::FuType::VAlu;
-    }
-}
-
-uint64_t
-HsailInst::laneAlu(const arch::WfState &wf, unsigned lane) const
-{
-    auto rd32 = [&](Reg r) { return wf.readVreg(r.idx, lane); };
-    auto rd = [&](Reg r, DataType t) -> uint64_t {
-        return typeRegs(t) == 2 ? wf.readVreg64(r.idx, lane)
-                                : uint64_t(wf.readVreg(r.idx, lane));
-    };
-    DataType t = dtype;
-    uint64_t a = srcRegs[0].valid() ? rd(srcRegs[0], t) : 0;
-    uint64_t b = srcRegs[1].valid() ? rd(srcRegs[1], t) : 0;
-    uint64_t c = srcRegs[2].valid() ? rd(srcRegs[2], t) : 0;
-
-    switch (opc) {
-      case Opcode::Add:
-        switch (t) {
-          case DataType::F32: return fromF32(asF32(a) + asF32(b));
-          case DataType::F64: return fromF64(asF64(a) + asF64(b));
-          default: return (t == DataType::U64) ? a + b
-                       : uint64_t(uint32_t(a) + uint32_t(b));
-        }
-      case Opcode::Sub:
-        switch (t) {
-          case DataType::F32: return fromF32(asF32(a) - asF32(b));
-          case DataType::F64: return fromF64(asF64(a) - asF64(b));
-          default: return (t == DataType::U64) ? a - b
-                       : uint64_t(uint32_t(a) - uint32_t(b));
-        }
-      case Opcode::Mul:
-        switch (t) {
-          case DataType::F32: return fromF32(asF32(a) * asF32(b));
-          case DataType::F64: return fromF64(asF64(a) * asF64(b));
-          default: return (t == DataType::U64) ? a * b
-                       : uint64_t(uint32_t(a) * uint32_t(b));
-        }
-      case Opcode::MulHi:
-        return uint64_t(uint32_t((uint64_t(uint32_t(a)) *
-                                  uint64_t(uint32_t(b))) >> 32));
-      case Opcode::Mad:
-        switch (t) {
-          case DataType::F32:
-            return fromF32(asF32(a) * asF32(b) + asF32(c));
-          case DataType::F64:
-            return fromF64(asF64(a) * asF64(b) + asF64(c));
-          default:
-            return uint64_t(uint32_t(a) * uint32_t(b) + uint32_t(c));
-        }
-      case Opcode::Fma:
-        switch (t) {
-          case DataType::F32:
-            return fromF32(std::fma(asF32(a), asF32(b), asF32(c)));
-          case DataType::F64:
-            return fromF64(std::fma(asF64(a), asF64(b), asF64(c)));
-          default:
-            return uint64_t(uint32_t(a) * uint32_t(b) + uint32_t(c));
-        }
-      case Opcode::Div:
-        switch (t) {
-          case DataType::F32: return fromF32(asF32(a) / asF32(b));
-          case DataType::F64: return fromF64(asF64(a) / asF64(b));
-          case DataType::S32:
-            return int32_t(b) == 0
-                ? 0 : uint64_t(uint32_t(int32_t(a) / int32_t(b)));
-          default:
-            return uint32_t(b) == 0
-                ? 0 : uint64_t(uint32_t(a) / uint32_t(b));
-        }
-      case Opcode::Rem:
-        switch (t) {
-          case DataType::S32:
-            return int32_t(b) == 0
-                ? 0 : uint64_t(uint32_t(int32_t(a) % int32_t(b)));
-          default:
-            return uint32_t(b) == 0
-                ? 0 : uint64_t(uint32_t(a) % uint32_t(b));
-        }
-      case Opcode::Min:
-        switch (t) {
-          case DataType::F32:
-            return fromF32(std::fmin(asF32(a), asF32(b)));
-          case DataType::F64:
-            return fromF64(std::fmin(asF64(a), asF64(b)));
-          case DataType::S32:
-            return uint64_t(uint32_t(std::min(int32_t(a), int32_t(b))));
-          default:
-            return std::min(uint32_t(a), uint32_t(b));
-        }
-      case Opcode::Max:
-        switch (t) {
-          case DataType::F32:
-            return fromF32(std::fmax(asF32(a), asF32(b)));
-          case DataType::F64:
-            return fromF64(std::fmax(asF64(a), asF64(b)));
-          case DataType::S32:
-            return uint64_t(uint32_t(std::max(int32_t(a), int32_t(b))));
-          default:
-            return std::max(uint32_t(a), uint32_t(b));
-        }
-      case Opcode::Abs:
-        switch (t) {
-          case DataType::F32: return fromF32(std::fabs(asF32(a)));
-          case DataType::F64: return fromF64(std::fabs(asF64(a)));
-          default:
-            return uint64_t(uint32_t(std::abs(int32_t(a))));
-        }
-      case Opcode::Neg:
-        switch (t) {
-          case DataType::F32: return fromF32(-asF32(a));
-          case DataType::F64: return fromF64(-asF64(a));
-          default: return uint64_t(uint32_t(-int32_t(a)));
-        }
-      case Opcode::Sqrt:
-        return t == DataType::F64 ? fromF64(std::sqrt(asF64(a)))
-                                  : fromF32(std::sqrt(asF32(a)));
-      case Opcode::And: return a & b;
-      case Opcode::Or: return a | b;
-      case Opcode::Xor: return a ^ b;
-      case Opcode::Not: return t == DataType::U64 ? ~a : uint64_t(~uint32_t(a));
-      case Opcode::Shl:
-        return t == DataType::U64 ? a << (b & 63)
-                                  : uint64_t(uint32_t(a) << (b & 31));
-      case Opcode::Shr:
-        return t == DataType::U64 ? a >> (b & 63)
-                                  : uint64_t(uint32_t(a) >> (b & 31));
-      case Opcode::AShr:
-        return uint64_t(uint32_t(int32_t(a) >> (b & 31)));
-      case Opcode::Bfe: {
-        unsigned off = unsigned(b) & 31;
-        unsigned width = unsigned(c) & 31;
-        uint32_t mask = width == 0 ? 0xffffffffu : ((1u << width) - 1);
-        return (uint32_t(a) >> off) & mask;
-      }
-      case Opcode::Cmp: {
-        bool r = false;
-        auto docmp = [&](auto x, auto y) {
-            switch (cmpop) {
-              case CmpOp::Eq: return x == y;
-              case CmpOp::Ne: return x != y;
-              case CmpOp::Lt: return x < y;
-              case CmpOp::Le: return x <= y;
-              case CmpOp::Gt: return x > y;
-              case CmpOp::Ge: return x >= y;
-            }
-            return false;
-        };
-        switch (t) {
-          case DataType::F32: r = docmp(asF32(a), asF32(b)); break;
-          case DataType::F64: r = docmp(asF64(a), asF64(b)); break;
-          case DataType::S32: r = docmp(int32_t(a), int32_t(b)); break;
-          default: r = docmp(uint64_t(a), uint64_t(b)); break;
-        }
-        return r ? 1 : 0;
-      }
-      case Opcode::CMov:
-        return rd32(srcRegs[0]) ? b : c;
-      case Opcode::Mov:
-        return a;
-      case Opcode::MovImm:
-        return imm;
-      case Opcode::Cvt: {
-        uint64_t s = typeRegs(srcDtype) == 2
-            ? wf.readVreg64(srcRegs[0].idx, lane)
-            : uint64_t(wf.readVreg(srcRegs[0].idx, lane));
-        double v;
-        switch (srcDtype) {
-          case DataType::F32: v = asF32(uint32_t(s)); break;
-          case DataType::F64: v = asF64(s); break;
-          case DataType::S32: v = double(int32_t(s)); break;
-          default: v = double(s); break;
-        }
-        switch (dtype) {
-          case DataType::F32: return fromF32(float(v));
-          case DataType::F64: return fromF64(v);
-          case DataType::S32: return uint64_t(uint32_t(int32_t(v)));
-          case DataType::U64: return uint64_t(v);
-          default: return uint64_t(uint32_t(v));
-        }
-      }
-      case Opcode::WorkItemAbsId:
-        return wf.globalId(lane);
-      case Opcode::WorkItemId:
-        return wf.wfIdInWg * WavefrontSize + lane;
-      case Opcode::WorkGroupId:
-        return wf.wgId;
-      case Opcode::WorkGroupSize:
-        return wf.wgSize;
-      case Opcode::GridSize:
-        return wf.gridSize;
-      default:
-        panic("laneAlu on non-ALU opcode %s", opcodeName(opc));
-    }
-}
-
-void
-HsailInst::executeAlu(arch::WfState &wf) const
-{
-    uint64_t mask = wf.activeMask();
-    unsigned dst_regs = (opc == Opcode::Cmp) ? 1 : typeRegs(dtype);
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if (!(mask & (1ull << lane)))
-            continue;
-        uint64_t r = laneAlu(wf, lane);
-        if (!dstReg.valid())
-            continue;
-        if (dst_regs == 2)
-            wf.writeVreg64(dstReg.idx, lane, r);
-        else
-            wf.writeVreg(dstReg.idx, lane, uint32_t(r));
-    }
-}
-
-void
-HsailInst::executeMem(arch::WfState &wf) const
-{
-    using arch::MemAccess;
-    uint64_t mask = wf.activeMask();
-    unsigned bytes = typeBytes(dtype);
-    MemAccess acc;
-    acc.bytesPerLane = bytes;
-    acc.mask = mask;
-
-    if (seg == Segment::Kernarg || seg == Segment::Arg) {
-        // The IL has no ABI: the simulator supplies the kernarg base
-        // itself and services the access from functional state.
-        Addr addr = wf.kernargBase + uint64_t(imm);
-        uint64_t val = 0;
-        wf.memory->read(addr, &val, bytes);
-        for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-            if (!(mask & (1ull << lane)))
-                continue;
-            if (bytes == 8)
-                wf.writeVreg64(dstReg.idx, lane, val);
-            else
-                wf.writeVreg(dstReg.idx, lane, uint32_t(val));
-        }
-        acc.kind = MemAccess::Kind::KernargDirect;
-        acc.scalarAddr = addr;
-        acc.scalarBytes = bytes;
-        wf.pendingAccess = acc;
-        return;
-    }
-
-    if (seg == Segment::Group) {
-        // LDS: zero-based offsets within the workgroup's block.
-        acc.kind = (opc == Opcode::St) ? MemAccess::Kind::LdsStore
-                                       : MemAccess::Kind::LdsLoad;
-        for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-            if (!(mask & (1ull << lane)))
-                continue;
-            Addr off = uint64_t(imm);
-            if (srcRegs[0].valid())
-                off += wf.readVreg(srcRegs[0].idx, lane);
-            acc.laneAddrs[lane] = off;
-            if (opc == Opcode::St) {
-                wf.lds->write32(off, wf.readVreg(srcRegs[1].idx, lane));
-                if (bytes == 8)
-                    wf.lds->write32(off + 4,
-                                    wf.readVreg(srcRegs[1].idx + 1, lane));
-            } else {
-                wf.writeVreg(dstReg.idx, lane, wf.lds->read32(off));
-                if (bytes == 8)
-                    wf.writeVreg(dstReg.idx + 1, lane,
-                                 wf.lds->read32(off + 4));
-            }
-        }
-        wf.pendingAccess = acc;
-        return;
-    }
-
-    // Global / readonly / private / spill all reach main memory; the
-    // private and spill segments use simulator-held base addresses and
-    // per-work-item strides (no visible address arithmetic — the exact
-    // abstraction the paper calls out).
-    acc.kind = (opc == Opcode::St) ? MemAccess::Kind::VectorStore
-                                   : MemAccess::Kind::VectorLoad;
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if (!(mask & (1ull << lane)))
-            continue;
-        Addr addr;
-        switch (seg) {
-          case Segment::Global:
-          case Segment::Readonly:
-            addr = wf.readVreg64(srcRegs[0].idx, lane) + uint64_t(imm);
-            break;
-          case Segment::Private:
-            addr = wf.privateBase +
-                   uint64_t(wf.globalId(lane)) * wf.privateStridePerWi +
-                   (srcRegs[0].valid()
-                        ? wf.readVreg(srcRegs[0].idx, lane) : 0) +
-                   uint64_t(imm);
-            break;
-          case Segment::Spill:
-            addr = wf.spillBase +
-                   uint64_t(wf.globalId(lane)) * wf.spillStridePerWi +
-                   (srcRegs[0].valid()
-                        ? wf.readVreg(srcRegs[0].idx, lane) : 0) +
-                   uint64_t(imm);
-            break;
-          default:
-            panic("unhandled segment");
-        }
-        acc.laneAddrs[lane] = addr;
-
-        if (opc == Opcode::St) {
-            if (bytes == 8) {
-                uint64_t v = wf.readVreg64(srcRegs[1].idx, lane);
-                wf.memory->write(addr, &v, 8);
-            } else {
-                uint32_t v = wf.readVreg(srcRegs[1].idx, lane);
-                wf.memory->write(addr, &v, 4);
-            }
-        } else if (opc == Opcode::AtomicAdd) {
-            uint32_t old = wf.memory->read<uint32_t>(addr);
-            uint32_t add = wf.readVreg(srcRegs[1].idx, lane);
-            wf.memory->write<uint32_t>(addr, old + add);
-            if (dstReg.valid())
-                wf.writeVreg(dstReg.idx, lane, old);
-        } else {
-            if (bytes == 8) {
-                uint64_t v = 0;
-                wf.memory->read(addr, &v, 8);
-                wf.writeVreg64(dstReg.idx, lane, v);
-            } else {
-                uint32_t v = 0;
-                wf.memory->read(addr, &v, 4);
-                wf.writeVreg(dstReg.idx, lane, v);
-            }
-        }
-    }
-    wf.pendingAccess = acc;
-}
-
-void
-HsailInst::executeBranch(arch::WfState &wf) const
-{
-    Addr fallthrough = wf.pc + EncodedBytes;
-    Addr target = targetOffset();
-
-    if (opc == Opcode::Br) {
-        wf.nextPc = target;
-        return;
-    }
-
-    uint64_t active = wf.activeMask();
-    bool if_zero = branchIfZero();
-    uint64_t taken = 0;
-    for (unsigned lane = 0; lane < WavefrontSize; ++lane) {
-        if ((active & (1ull << lane)) &&
-            (wf.readVreg(srcRegs[0].idx, lane) != 0) != if_zero) {
-            taken |= 1ull << lane;
-        }
-    }
-    uint64_t not_taken = active & ~taken;
-
-    if (taken == 0) {
-        wf.nextPc = fallthrough;
-    } else if (not_taken == 0) {
-        wf.nextPc = target;
-    } else {
-        // Divergence: the simulator manages it with the reconvergence
-        // stack. The current top becomes the reconvergence entry and
-        // waits at the immediate post-dominator; both paths are pushed
-        // and execute serially.
-        panic_if(rpcOff == InvalidAddr,
-                 "divergent branch without ipdom analysis");
-        wf.rs.back().pc = rpcOff;
-        wf.rs.push_back({fallthrough, rpcOff, not_taken});
-        wf.rs.push_back({target, rpcOff, taken});
-        wf.nextPc = target;
-    }
-}
-
-void
-HsailInst::execute(arch::WfState &wf) const
-{
-    wf.nextPc = wf.pc + EncodedBytes;
-    switch (opc) {
-      case Opcode::Ld:
-      case Opcode::St:
-      case Opcode::AtomicAdd:
-        executeMem(wf);
-        return;
-      case Opcode::Br:
-      case Opcode::CBr:
-        executeBranch(wf);
-        return;
-      case Opcode::Barrier:
-        wf.atBarrier = true;
-        return;
-      case Opcode::Ret:
-        wf.done = true;
-        return;
-      case Opcode::Nop:
-        return;
-      default:
-        executeAlu(wf);
-        return;
     }
 }
 

@@ -65,12 +65,11 @@ class HsailInst : public arch::Instruction
     static HsailInst *nop();
     /** @} */
 
-    void execute(arch::WfState &wf) const override;
     std::string disassemble() const override;
     arch::FuType fuType() const override;
     unsigned sizeBytes() const override { return EncodedBytes; }
 
-    /** Install the direct-threaded handler (src/hsail/exec.cc). */
+    /** Install the execution handler (src/hsail/exec.cc). */
     void predecode(arch::ExecMeta &m) const override;
 
     Opcode op() const { return opc; }
@@ -101,18 +100,11 @@ class HsailInst : public arch::Instruction
     void remapRegs(const std::vector<uint16_t> &remap);
 
   private:
-    /** The direct-threaded handlers (exec.cc) read operand fields and
-     *  reuse the private executors non-virtually on cold paths. */
+    /** The execution handlers (exec.cc) read the operand fields. */
     friend struct HsailExec;
 
     void finalizeOperands();
     void clearOperands();
-
-    void executeAlu(arch::WfState &wf) const;
-    void executeMem(arch::WfState &wf) const;
-    void executeBranch(arch::WfState &wf) const;
-
-    uint64_t laneAlu(const arch::WfState &wf, unsigned lane) const;
 
     Opcode opc;
     DataType dtype;

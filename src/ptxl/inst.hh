@@ -70,12 +70,11 @@ class PtxlInst : public arch::Instruction
     static PtxlInst *nop();
     /** @} */
 
-    void execute(arch::WfState &wf) const override;
     std::string disassemble() const override;
     arch::FuType fuType() const override;
     unsigned sizeBytes() const override { return EncodedBytes; }
 
-    /** Install the direct-threaded handler (src/ptxl/exec.cc). */
+    /** Install the execution handler (src/ptxl/exec.cc). */
     void predecode(arch::ExecMeta &m) const override;
 
     PtxlOp op() const { return opc; }
@@ -99,6 +98,8 @@ class PtxlInst : public arch::Instruction
     /** @} */
 
   private:
+    /** The execution handlers (exec.cc) read the operand fields and
+     *  call the executors below for the cold op classes. */
     friend struct PtxlExec;
 
     void finalizeOperands();
@@ -108,8 +109,6 @@ class PtxlInst : public arch::Instruction
     void executeMem(arch::WfState &wf) const;
     void executeBranch(arch::WfState &wf) const;
     void executeBsync(arch::WfState &wf) const;
-
-    uint64_t laneAlu(const arch::WfState &wf, unsigned lane) const;
 
     PtxlOp opc;
     hsail::Opcode sem = hsail::Opcode::Nop;

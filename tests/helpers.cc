@@ -15,6 +15,16 @@ namespace last::test
 
 using namespace hsail;
 
+void
+execOne(std::unique_ptr<arch::Instruction> inst, arch::WfState &st)
+{
+    arch::KernelCode code(st.isa, "one");
+    code.append(std::move(inst));
+    code.seal();
+    const arch::ExecMeta &m = code.execMetas()[0];
+    m.handler(m, st);
+}
+
 IlKernel
 randomKernel(uint64_t seed)
 {

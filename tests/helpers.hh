@@ -56,11 +56,12 @@ struct MiniWf
     {
         uint64_t n = 0;
         const arch::KernelCode &code = *st.code;
+        const std::vector<arch::ExecMeta> &metas = code.execMetas();
         while (!st.done && n < max_insts) {
-            size_t idx = code.indexAt(st.pc);
+            const arch::ExecMeta &m = metas[code.indexAt(st.pc)];
             st.pendingAccess.reset();
             st.atBarrier = false;
-            code.inst(idx).execute(st);
+            m.handler(m, st);
             ++n;
             if (st.isa == IsaKind::HSAIL) {
                 st.rs.back().pc = st.nextPc;
@@ -75,6 +76,11 @@ struct MiniWf
         return n;
     }
 };
+
+/** Execute one instruction through its predecoded handler: `inst`
+ *  becomes a one-instruction sealed KernelCode whose
+ *  execMetas()[0].handler runs on `st`. */
+void execOne(std::unique_ptr<arch::Instruction> inst, arch::WfState &st);
 
 /**
  * Generate a random-but-valid IL kernel: mixed u32/f32 arithmetic,

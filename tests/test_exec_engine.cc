@@ -1,14 +1,10 @@
 /**
  * @file
- * Differential suite for the predecoded direct-threaded execution
- * engine (DESIGN.md §4f): the engine is a pure performance
- * transformation, so every workload run through the predecoded
- * handlers must be *field-for-field identical* — every statistic,
- * digest, and launch record — to the same run through the legacy
- * virtual-dispatch reference (GpuConfig::execReference), and the
- * bench-cache rows serialized from the two runs must be byte-identical
- * files. A third test pins the predecode contract itself: every
- * ExecMeta record must agree with the virtual methods it replaces.
+ * The predecode contract (DESIGN.md §4f): every ExecMeta record agrees
+ * with the instruction it flattens, and each latency class reads the
+ * GpuConfig knob its functional unit and flags call for. The handlers'
+ * semantics are pinned by the golden vectors (test_exec_golden.cc) and
+ * whole workloads by the committed bench cache (test_metrics.cc).
  */
 
 #include <gtest/gtest.h>
@@ -19,76 +15,14 @@
 #include "finalizer/regalloc.hh"
 #include "helpers.hh"
 #include "runtime/runtime.hh"
-#include "sim/bench_cache.hh"
-#include "sim/parallel.hh"
 
 using namespace last;
-
-namespace
-{
-
-/** The engine-differential matrix: Table 5 representatives plus every
- *  stress shape (atomics, LDS swizzles, nested divergence,
- *  multi-dispatch pipelines) at both ISA levels, with `execReference`
- *  forced to the requested engine. */
-std::vector<sim::RunSpec>
-engineSweep(bool reference)
-{
-    workloads::WorkloadScale scale{0.25};
-    GpuConfig cfg;
-    cfg.execReference = reference;
-    std::vector<sim::RunSpec> specs;
-    for (const char *w : {"VecAdd", "ArrayBW", "BitonicSort", "atomicred",
-                          "ldsswizzle", "bfsgraph", "pipeline"}) {
-        specs.push_back({w, IsaKind::HSAIL, cfg, scale});
-        specs.push_back({w, IsaKind::GCN3, cfg, scale});
-    }
-    return specs;
-}
-
-} // namespace
-
-TEST(ExecEngine, MatchesReferenceFieldForField)
-{
-    auto fast = engineSweep(false);
-    auto ref = engineSweep(true);
-    auto fastRes = sim::runMany(fast);
-    auto refRes = sim::runMany(ref);
-    ASSERT_EQ(fastRes.size(), refRes.size());
-    for (size_t i = 0; i < fastRes.size(); ++i) {
-        SCOPED_TRACE(fast[i].workload + "/" +
-                     std::string(isaName(fast[i].isa)));
-        test::expectSameResult(fastRes[i], refRes[i]);
-    }
-}
-
-TEST(ExecEngine, BenchCacheRowsByteIdentical)
-{
-    // The sweep backend caches AppResults; an engine that changed any
-    // stat in any way the field comparison missed (serialization
-    // precision, row ordering) would surface here as a byte diff.
-    auto fast = engineSweep(false);
-    auto ref = engineSweep(true);
-    auto fastRes = sim::runMany(fast);
-    auto refRes = sim::runMany(ref);
-    ASSERT_EQ(fastRes.size(), refRes.size());
-
-    EXPECT_EQ(test::cacheBytes(test::sweepCache(fast, fastRes)),
-              test::cacheBytes(test::sweepCache(ref, refRes)));
-}
 
 TEST(ExecEngine, PredecodedMetaAgreesWithInstruction)
 {
     // The predecode contract: every ExecMeta field the timing model
-    // consumes must agree with the virtual method it replaced, for
-    // every instruction of both ISA levels, across latency configs.
-    GpuConfig cfgs[2];
-    cfgs[1].valuLatency += 3;
-    cfgs[1].dramLatency += 100;
-    cfgs[1].ldsLatency += 2;
-    cfgs[1].saluLatency += 1;
-    cfgs[1].branchLatency += 2;
-
+    // consumes must agree with the virtual method it flattens, for
+    // every instruction of both ISA levels.
     auto checkKernel = [&](const arch::KernelCode &code) {
         const auto &metas = code.execMetas();
         ASSERT_EQ(metas.size(), code.numInsts());
@@ -102,8 +36,6 @@ TEST(ExecEngine, PredecodedMetaAgreesWithInstruction)
             EXPECT_EQ(m.fu, in.fuType());
             EXPECT_EQ(unsigned(m.size), in.sizeBytes());
             EXPECT_EQ(unsigned(m.size), code.sizeOf(i));
-            for (const GpuConfig &cfg : cfgs)
-                EXPECT_EQ(m.latency(cfg), in.latency(cfg));
             EXPECT_EQ(m.numOps, in.regOps().size());
             for (size_t k = 0; k < in.regOps().size(); ++k) {
                 EXPECT_EQ(m.ops[k].idx, in.regOps()[k].idx);
@@ -121,5 +53,86 @@ TEST(ExecEngine, PredecodedMetaAgreesWithInstruction)
         checkKernel(*il.code);
         auto gcn = finalizer::finalize(il, rt.config());
         checkKernel(*gcn);
+    }
+}
+
+namespace
+{
+
+/** An instruction that is nothing but a functional unit and flags. */
+class FuOnlyInst : public arch::Instruction
+{
+  public:
+    FuOnlyInst(arch::FuType fu, uint32_t flags) : fu(fu) { setFlags(flags); }
+
+    void predecode(arch::ExecMeta &m) const override
+    {
+        m.handler = [](const arch::ExecMeta &, arch::WfState &) {};
+    }
+    std::string disassemble() const override { return "fu_only"; }
+    arch::FuType fuType() const override { return fu; }
+    unsigned sizeBytes() const override { return 4; }
+
+  private:
+    arch::FuType fu;
+};
+
+} // namespace
+
+TEST(ExecEngine, LatencyClassReadsItsConfigKnob)
+{
+    // Every (functional unit, plain/IsF64/IsTrans) pair and the
+    // GpuConfig knob its result latency comes from; nullptr means the
+    // fixed `cycles` (memory ops are timed by the memory system).
+    using arch::FuType;
+    struct Row
+    {
+        FuType fu;
+        uint32_t flags;
+        unsigned GpuConfig::*knob;
+        unsigned cycles;
+    };
+    const Row rows[] = {
+        {FuType::VAlu, 0, &GpuConfig::valuLatency, 0},
+        {FuType::VAlu, arch::IsF64, &GpuConfig::valuLatencyF64, 0},
+        {FuType::VAlu, arch::IsTrans, &GpuConfig::valuLatencyF64, 0},
+        {FuType::SAlu, 0, &GpuConfig::saluLatency, 0},
+        {FuType::SAlu, arch::IsF64, &GpuConfig::saluLatency, 0},
+        {FuType::SAlu, arch::IsTrans, &GpuConfig::saluLatency, 0},
+        {FuType::Branch, 0, &GpuConfig::branchLatency, 0},
+        {FuType::Branch, arch::IsF64, &GpuConfig::branchLatency, 0},
+        {FuType::Branch, arch::IsTrans, &GpuConfig::branchLatency, 0},
+        {FuType::Lds, 0, &GpuConfig::ldsLatency, 0},
+        {FuType::Lds, arch::IsF64, &GpuConfig::ldsLatency, 0},
+        {FuType::Lds, arch::IsTrans, &GpuConfig::ldsLatency, 0},
+        {FuType::VMem, 0, nullptr, 0},
+        {FuType::VMem, arch::IsF64, nullptr, 0},
+        {FuType::VMem, arch::IsTrans, nullptr, 0},
+        {FuType::SMem, 0, nullptr, 0},
+        {FuType::SMem, arch::IsF64, nullptr, 0},
+        {FuType::SMem, arch::IsTrans, nullptr, 0},
+        {FuType::Special, 0, nullptr, 1},
+        {FuType::Special, arch::IsF64, nullptr, 1},
+        {FuType::Special, arch::IsTrans, nullptr, 1},
+    };
+
+    // Distinct values, so reading the wrong knob shows.
+    GpuConfig cfg;
+    cfg.valuLatency = 11;
+    cfg.valuLatencyF64 = 12;
+    cfg.saluLatency = 13;
+    cfg.branchLatency = 14;
+    cfg.ldsLatency = 15;
+
+    arch::KernelCode code(IsaKind::GCN3, "fu_only");
+    for (const Row &r : rows)
+        code.append(std::make_unique<FuOnlyInst>(r.fu, r.flags));
+    code.seal();
+    const auto &metas = code.execMetas();
+    for (size_t i = 0; i < std::size(rows); ++i) {
+        const Row &r = rows[i];
+        SCOPED_TRACE(std::string(arch::fuTypeName(r.fu)) + " flags " +
+                     std::to_string(r.flags));
+        EXPECT_EQ(metas[i].latency(cfg), r.knob ? cfg.*r.knob : r.cycles);
     }
 }

@@ -366,8 +366,10 @@ TEST(RegAlloc, CompactionShrinksAndPreservesSemantics)
 {
     auto il = last::test::randomKernel(21);
     unsigned before = il.code->vregsUsed;
-    // Execute pre-compaction.
-    last::test::MiniWf wf1(*il.code);
+    // Execute pre-compaction, on a second copy from the same seed:
+    // running a kernel predecodes it, and compaction must come first.
+    auto uncompacted = last::test::randomKernel(21);
+    last::test::MiniWf wf1(*uncompacted.code);
     wf1.st.kernargBase = 0x100;
     wf1.mem.write<uint64_t>(0x100, 0x10000);
     wf1.mem.write<uint64_t>(0x108, 0x20000);

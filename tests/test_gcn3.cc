@@ -6,6 +6,7 @@
 
 #include "arch/kernel_code.hh"
 #include "gcn3/inst.hh"
+#include "helpers.hh"
 #include "memory/functional_memory.hh"
 #include "memory/lds.hh"
 
@@ -33,9 +34,8 @@ struct GcnEnv
     void
     exec(Gcn3Inst *inst)
     {
-        std::unique_ptr<Gcn3Inst> owner(inst);
         st.pendingAccess.reset();
-        owner->execute(st);
+        test::execOne(std::unique_ptr<arch::Instruction>(inst), st);
     }
 };
 
@@ -325,22 +325,21 @@ TEST(Gcn3Branch, TargetsResolveToOffsets)
 TEST(Gcn3Branch, ConditionalBranches)
 {
     GcnEnv e;
-    std::unique_ptr<Gcn3Inst> br(
-        Gcn3Inst::branch(Gcn3Op::S_CBRANCH_SCC1, 0));
-    br->setTargetOffset(100);
+    auto branch = [](Gcn3Op op, Addr target) {
+        Gcn3Inst *br = Gcn3Inst::branch(op, 0);
+        br->setTargetOffset(target);
+        return br;
+    };
     e.st.pc = 0;
     e.st.scc = true;
-    br->execute(e.st);
+    e.exec(branch(Gcn3Op::S_CBRANCH_SCC1, 100));
     EXPECT_EQ(e.st.nextPc, 100u);
     e.st.scc = false;
-    br->execute(e.st);
-    EXPECT_EQ(e.st.nextPc, br->sizeBytes());
+    e.exec(branch(Gcn3Op::S_CBRANCH_SCC1, 100));
+    EXPECT_EQ(e.st.nextPc, 4u); // SOPP: one 32-bit word
 
-    std::unique_ptr<Gcn3Inst> bez(
-        Gcn3Inst::branch(Gcn3Op::S_CBRANCH_EXECZ, 0));
-    bez->setTargetOffset(64);
     e.st.exec = 0;
-    bez->execute(e.st);
+    e.exec(branch(Gcn3Op::S_CBRANCH_EXECZ, 64));
     EXPECT_EQ(e.st.nextPc, 64u);
 }
 

@@ -91,6 +91,24 @@ TEST(HsailExec, IntegerDivRem)
     EXPECT_EQ(wf.st.readVreg(r.reg, 0), (3u << 8) + 2u);
 }
 
+TEST(HsailExec, SignedDivideOverflowWraps)
+{
+    // INT32_MIN / -1 overflows int32: the quotient wraps to INT32_MIN
+    // and the remainder is 0 (the host division would trap).
+    KernelBuilder kb("sdiv");
+    Val a = kb.immS32(INT32_MIN);
+    Val b = kb.immS32(-1);
+    Val q = kb.div(a, b);
+    Val r = kb.emitAlu2(Opcode::Rem, a, b);
+    auto il = kb.build();
+    MiniWf wf(*il.code);
+    wf.run();
+    for (unsigned lane : {0u, 63u}) {
+        EXPECT_EQ(wf.st.readVreg(q.reg, lane), 0x80000000u);
+        EXPECT_EQ(wf.st.readVreg(r.reg, lane), 0u);
+    }
+}
+
 TEST(HsailExec, BitOpsAndShifts)
 {
     auto [code, r] = buildSimple([](KernelBuilder &kb) {

@@ -5,7 +5,9 @@
  * statistic is a one-row change that these cases then cover on their
  * own. CommittedBenchCache pins the checked-in last_bench_cache.csv
  * and the divergence reports derived from it against golden bytes, and
- * re-simulates two cheap rows to tie the column order to real runs.
+ * re-simulates the cheap rows at all three ISAs: the whole-workload
+ * oracle for the execution handlers, which also ties the column order
+ * to real runs.
  */
 
 #include <gtest/gtest-spi.h>
@@ -20,6 +22,7 @@
 #include "runtime/runtime.hh"
 #include "sim/bench_cache.hh"
 #include "sim/metrics.hh"
+#include "sim/parallel.hh"
 
 using namespace last;
 using test::readFile;
@@ -167,16 +170,26 @@ TEST(CommittedBenchCache, TiedReportKeepsGoldenOrder)
 
 TEST(CommittedBenchCache, FreshRunsReproduceTheirRows)
 {
-    // Ties the column order to simulation, not only to the table: two
-    // same-typed rows swapped in the table would still round-trip.
+    // The whole-workload oracle for the execution handlers, and a tie
+    // between the column order and simulation (two same-typed rows
+    // swapped in the table would still round-trip): fresh runs of the
+    // cheap workloads, which between them cover atomics, LDS swizzles,
+    // nested divergence and multi-dispatch pipelines, at every ISA on
+    // the sweep pool, must reproduce their committed rows exactly.
     const sim::BenchCacheFile committed = committedCache();
-    for (IsaKind isa : {IsaKind::HSAIL, IsaKind::GCN3}) {
-        const sim::RunSpec spec{"ArrayBW", isa, GpuConfig{},
-                                workloads::WorkloadScale{committed.scale}};
-        const sim::CachedRun *want = committed.find(sim::specCacheKey(spec));
-        ASSERT_NE(want, nullptr) << isaName(isa);
-        test::expectSameResult(
-            sim::runApp(spec.workload, isa, spec.cfg, spec.scale),
-            want->result);
+    std::vector<sim::RunSpec> specs;
+    for (const char *w : {"ArrayBW", "BitonicSort", "atomicred",
+                          "ldsswizzle", "bfsgraph", "pipeline"})
+        for (IsaKind isa : {IsaKind::HSAIL, IsaKind::GCN3, IsaKind::PTXL})
+            specs.push_back({w, isa, GpuConfig{},
+                             workloads::WorkloadScale{committed.scale}});
+    const std::vector<sim::AppResult> fresh = sim::runMany(specs);
+    ASSERT_EQ(fresh.size(), specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(specs[i].workload + "/" + isaName(specs[i].isa));
+        const sim::CachedRun *want =
+            committed.find(sim::specCacheKey(specs[i]));
+        ASSERT_NE(want, nullptr);
+        test::expectSameResult(fresh[i], want->result);
     }
 }

@@ -95,10 +95,10 @@ TEST_P(Gcn3ValuSweep, MatchesHostSemantics)
         st.writeVreg(1, lane, c.a);
         st.writeVreg(2, lane, c.b);
     }
-    std::unique_ptr<gcn3::Gcn3Inst> inst(gcn3::Gcn3Inst::vop2(
-        c.op, gcn3::Dst::vgpr(3), gcn3::Src::vgpr(1),
-        gcn3::Src::vgpr(2)));
-    inst->execute(st);
+    test::execOne(std::unique_ptr<arch::Instruction>(gcn3::Gcn3Inst::vop2(
+                      c.op, gcn3::Dst::vgpr(3), gcn3::Src::vgpr(1),
+                      gcn3::Src::vgpr(2))),
+                  st);
     EXPECT_EQ(st.readVreg(3, 0), c.expect) << c.name;
     EXPECT_EQ(st.readVreg(3, 63), c.expect) << c.name;
 }
