@@ -123,14 +123,14 @@ class Gcn3Inst : public arch::Instruction
     /** @} */
 
     std::string disassemble() const override;
-    arch::FuType fuType() const override;
+    arch::FuType fuType() const override { return desc(opc).fu; }
     unsigned sizeBytes() const override;
 
     /** Install the execution handler (src/gcn3/exec.cc). */
     void predecode(arch::ExecMeta &m) const override;
 
     Gcn3Op op() const { return opc; }
-    Format format() const { return opFormat(opc); }
+    Format format() const { return desc(opc).format; }
 
     /** @{ Branch-target plumbing: built as instruction indices,
      * resolved to byte offsets by resolveBranchTargets(). */
@@ -152,11 +152,14 @@ class Gcn3Inst : public arch::Instruction
      *  call the executors below for the cold op classes. */
     friend struct Gcn3Exec;
 
-    explicit Gcn3Inst(Gcn3Op op);
+    /** Carries the flags of the opcode's descriptor row, except for a
+     *  VOP1/VOP2/VOPC op promoted to the VOP3 encoding, which carries
+     *  none. */
+    Gcn3Inst(Gcn3Op op, Format encoding);
 
+    /** Append the operand list: the destination, the register
+     *  sources, then the row's implicit operands. */
     void finalizeOperands();
-    bool isWide(unsigned srcIdx) const;    ///< 64-bit source?
-    unsigned dstWidth() const;             ///< 32-bit regs written
 
     /** Read a source: lane used only for Vgpr kinds. */
     uint32_t readSrc32(const arch::WfState &wf, unsigned i,

@@ -9,53 +9,6 @@ namespace last::hsail
 {
 
 const char *
-opcodeName(Opcode op)
-{
-    switch (op) {
-      case Opcode::Add: return "add";
-      case Opcode::Sub: return "sub";
-      case Opcode::Mul: return "mul";
-      case Opcode::MulHi: return "mulhi";
-      case Opcode::Mad: return "mad";
-      case Opcode::Div: return "div";
-      case Opcode::Rem: return "rem";
-      case Opcode::Min: return "min";
-      case Opcode::Max: return "max";
-      case Opcode::Abs: return "abs";
-      case Opcode::Neg: return "neg";
-      case Opcode::Fma: return "fma";
-      case Opcode::Sqrt: return "sqrt";
-      case Opcode::And: return "and";
-      case Opcode::Or: return "or";
-      case Opcode::Xor: return "xor";
-      case Opcode::Not: return "not";
-      case Opcode::Shl: return "shl";
-      case Opcode::Shr: return "shr";
-      case Opcode::AShr: return "ashr";
-      case Opcode::Bfe: return "bitextract";
-      case Opcode::Cmp: return "cmp";
-      case Opcode::CMov: return "cmov";
-      case Opcode::Mov: return "mov";
-      case Opcode::MovImm: return "movimm";
-      case Opcode::Cvt: return "cvt";
-      case Opcode::Ld: return "ld";
-      case Opcode::St: return "st";
-      case Opcode::AtomicAdd: return "atomic_add";
-      case Opcode::Br: return "br";
-      case Opcode::CBr: return "cbr";
-      case Opcode::Barrier: return "barrier";
-      case Opcode::Ret: return "ret";
-      case Opcode::WorkItemAbsId: return "workitemabsid";
-      case Opcode::WorkItemId: return "workitemid";
-      case Opcode::WorkGroupId: return "workgroupid";
-      case Opcode::WorkGroupSize: return "workgroupsize";
-      case Opcode::GridSize: return "gridsize";
-      case Opcode::Nop: return "nop";
-    }
-    return "?";
-}
-
-const char *
 typeName(DataType t)
 {
     switch (t) {
@@ -111,10 +64,7 @@ HsailInst::alu(Opcode op, DataType t, Reg dst, Reg src0, Reg src1, Reg src2)
     i->srcRegs[0] = src0;
     i->srcRegs[1] = src1;
     i->srcRegs[2] = src2;
-    if (t == DataType::F64 || t == DataType::U64)
-        i->setFlags(arch::IsF64);
-    if (op == Opcode::Div || op == Opcode::Sqrt || op == Opcode::Rem)
-        i->setFlags(arch::IsTrans);
+    i->setFlags(aluFlags(op, t));
     i->finalizeOperands();
     return i;
 }
@@ -337,22 +287,16 @@ HsailInst::finalizeOperands()
 arch::FuType
 HsailInst::fuType() const
 {
-    switch (opc) {
-      case Opcode::Ld:
-      case Opcode::St:
-      case Opcode::AtomicAdd:
+    switch (desc(opc).cls) {
+      case IlClass::Memory:
         return seg == Segment::Group ? arch::FuType::Lds
                                      : arch::FuType::VMem;
-      case Opcode::Br:
-      case Opcode::CBr:
-        return arch::FuType::Branch;
-      case Opcode::Barrier:
-      case Opcode::Ret:
-      case Opcode::Nop:
-        return arch::FuType::Special;
-      default:
-        return arch::FuType::VAlu;
+      case IlClass::Branch: return arch::FuType::Branch;
+      case IlClass::Special: return arch::FuType::Special;
+      case IlClass::Alu:
+      case IlClass::Dispatch: return arch::FuType::VAlu;
     }
+    return arch::FuType::VAlu;
 }
 
 std::string

@@ -146,17 +146,21 @@ struct PtxlExec
         hsail::aluRows<OP, DT>(wf.exec, wf, I.dstReg, I.srcRegs);
     }
 
+    /** aluH<OP, DT>, for lane32Table. */
+    template <DataType DT>
+    struct AluKernel
+    {
+        template <Opcode OP>
+        static constexpr arch::ExecHandler of() { return &aluH<OP, DT>; }
+    };
+
+    /** nullptr for Cvt/MovImm/specials: generic. */
     template <DataType DT>
     static arch::ExecHandler
     pickAluDt(Opcode op)
     {
-        switch (op) {
-#define LAST_X(O)                                                            \
-          case Opcode::O: return &aluH<Opcode::O, DT>;
-          LAST_IL_LANE32_OPS(LAST_X)
-#undef LAST_X
-          default: return nullptr; // Cvt/MovImm/specials: generic
-        }
+        static constexpr auto kAluH = hsail::lane32Table<AluKernel<DT>>();
+        return kAluH[size_t(op)];
     }
 
     static arch::ExecHandler
@@ -197,7 +201,7 @@ struct PtxlExec
                            ? &movImmH : &aluGenericH;
             }
             if (typeRegs(I.dtype) == 1 && I.dstReg.valid() &&
-                srcs_valid(hsail::aluArity(I.sem))) {
+                srcs_valid(hsail::desc(I.sem).arity)) {
                 arch::ExecHandler h = nullptr;
                 switch (I.dtype) {
                   case DataType::B32: // lane32 treats B32 as U32

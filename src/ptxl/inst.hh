@@ -71,7 +71,7 @@ class PtxlInst : public arch::Instruction
     /** @} */
 
     std::string disassemble() const override;
-    arch::FuType fuType() const override;
+    arch::FuType fuType() const override { return desc(opc).fu; }
     unsigned sizeBytes() const override { return EncodedBytes; }
 
     /** Install the execution handler (src/ptxl/exec.cc). */
