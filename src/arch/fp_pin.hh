@@ -18,6 +18,11 @@
  *    equal operands (+0 and -0 included) yield the second — what
  *    x86-64 glibc fmin/fmax return with the operands in order.
  * Ordinary operands get the host's result unchanged.
+ *
+ * C also leaves a float→integer conversion undefined when the value
+ * is NaN or out of the destination's range, and the host answers
+ * differently in scalar and in vectorized code. toInt defines it for
+ * every input.
  */
 
 #ifndef LAST_ARCH_FP_PIN_HH
@@ -95,6 +100,28 @@ minMax(Bits<F> x, Bits<F> y, Bits<F> r)
         return (y & kQuiet<F>) ? x : (y | kQuiet<F>);
     const bool equal = x == y || ((x | y) & ~kSign<F>) == 0;
     return equal ? y : r;
+}
+
+/**
+ * Float to integer I, defined for every input: truncation toward zero,
+ * NaN to 0, and values beyond I's range saturated to its bounds (±inf
+ * included) — what the GCN3 ISA documents for V_CVT_*. Written with
+ * selects, and the cast sees only values it defines, so that lane
+ * loops around it still vectorize and -fsanitize=float-cast-overflow
+ * stays quiet.
+ */
+template <typename I, typename F>
+constexpr I
+toInt(F x)
+{
+    constexpr I kMin = std::numeric_limits<I>::min();
+    constexpr I kMax = std::numeric_limits<I>::max();
+    /** 2^(value bits of I): the first value above the range, exact in
+     *  F. */
+    constexpr F kLimit = F(kMax / 2 + 1) * F(2);
+    const bool high = x >= kLimit;
+    const F in = (x != x || high) ? F(0) : x < F(kMin) ? F(kMin) : x;
+    return high ? kMax : I(in);
 }
 
 } // namespace last::arch::fp
