@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tier-1 verification: the full test suite on a regular build, the
 # concurrency-sensitive suites again under ThreadSanitizer with a
-# multi-worker pool, and the fault-injection/error-path suites under
+# multi-worker pool, the fault-injection/error-path suites under
 # AddressSanitizer+UBSan (exception unwinding through the watchdog and
-# quarantine machinery is where lifetime bugs hide).
+# quarantine machinery is where lifetime bugs hide), and the
+# per-instruction oracle and differentials in a Release (-O3) build.
 #
 # Every sub-suite runs even when an earlier one fails; the script exits
 # nonzero if ANY failed, so CI cannot green-light a partial pass.
@@ -53,7 +54,8 @@ fi
 # out-of-bounds bugs would live — and the metric-table and
 # committed-cache checks, which walk member pointers over every row —
 # and the per-instruction golden vectors, whose edge operands (INT32_MIN
-# / -1, shift counts >= 32) are where signed-overflow UB would hide.
+# / -1, shift counts >= 32, NaN and out-of-range float-to-integer
+# conversions) are where signed-overflow and float-cast UB would hide.
 if cmake -B build-asan -S . -DLAST_ASAN=ON &&
     cmake --build build-asan -j --target last_tests; then
     ./build-asan/tests/last_tests \
@@ -61,6 +63,20 @@ if cmake -B build-asan -S . -DLAST_ASAN=ON &&
         fail "ASan/UBSan suite"
 else
     fail "ASan build"
+fi
+
+# Release pass: the bench cache and every performance number come from
+# -O3 builds, where GCC vectorizes the full-mask lane loops, so the
+# per-instruction oracle (golden post-states and static metadata), the
+# descriptor-table checks, the committed-cache checks and the three-way
+# differentials run in that build too.
+if cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release &&
+    cmake --build build-release -j --target last_tests; then
+    ./build-release/tests/last_tests \
+        --gtest_filter='ExecGolden.*:OpcodeTables.*:CommittedBenchCache.*:Table5/WorkloadDifferential.*:Seeds/RandomKernelDifferential.*' ||
+        fail "Release suite"
+else
+    fail "Release build"
 fi
 
 # Opt-in perf smoke: Release sweep + microbenches, byte-identity of
