@@ -16,6 +16,7 @@
 #ifndef LAST_ARCH_INSTRUCTION_HH
 #define LAST_ARCH_INSTRUCTION_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -86,6 +87,36 @@ enum InstFlags : uint32_t
     IsTrans = 1u << 11,   ///< transcendental (rcp/sqrt); hazard window
     IsCondMove = 1u << 12,
 };
+
+/** InstFlags shorthands for the `flags` column of the per-ISA opcode
+ *  descriptor tables (src/gcn3/opcodes.hh, src/ptxl/opcodes.hh). */
+namespace opflags
+{
+constexpr uint32_t Sc = IsScalarOp;
+constexpr uint32_t Br = IsBranch;
+constexpr uint32_t End = IsEndPgm;
+constexpr uint32_t Bar = IsBarrier;
+constexpr uint32_t Nop = IsNop;
+constexpr uint32_t Wait = IsWaitcnt;
+constexpr uint32_t Tr = IsTrans;
+constexpr uint32_t F64 = IsF64;
+constexpr uint32_t CMov = IsCondMove;
+constexpr uint32_t Ld = IsMemory | IsLoad;
+constexpr uint32_t St = IsMemory | IsStore;
+constexpr uint32_t Atom = Ld | St | IsAtomic;
+} // namespace opflags
+
+/** True when row i of a descriptor table describes opcode i: the
+ *  tables are indexed by opcode. */
+template <typename Row, size_t N>
+constexpr bool
+rowsInOpcodeOrder(const Row (&rows)[N])
+{
+    for (size_t i = 0; i < N; ++i)
+        if (size_t(rows[i].op) != i)
+            return false;
+    return true;
+}
 
 /**
  * Abstract instruction. Concrete subclasses live in src/hsail,
